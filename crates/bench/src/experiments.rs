@@ -431,30 +431,6 @@ pub struct SuiteTiming {
     pub total_secs: f64,
 }
 
-/// [`run_suite`] plus its wall-clock envelope.
-pub fn run_suite_timed() -> (Vec<SuiteEntry>, SuiteTiming) {
-    let threads = worker_count();
-    let start = Instant::now();
-    let suite = run_suite_with(threads);
-    let timing = SuiteTiming {
-        threads,
-        total_secs: start.elapsed().as_secs_f64(),
-    };
-    (suite, timing)
-}
-
-/// [`run_smoke_with`] plus its wall-clock envelope.
-pub fn run_smoke_timed() -> (Vec<SuiteEntry>, SuiteTiming) {
-    let threads = worker_count();
-    let start = Instant::now();
-    let suite = run_smoke_with(threads);
-    let timing = SuiteTiming {
-        threads,
-        total_secs: start.elapsed().as_secs_f64(),
-    };
-    (suite, timing)
-}
-
 /// What to run and how, for [`run_suite_streamed`] (the `reproduce`
 /// entry point).
 #[derive(Debug, Clone, Default)]
@@ -1475,7 +1451,6 @@ pub fn dist(suite: &[BenchEvaluation]) -> String {
 
 /// §6.3 nginx throughput degradation over three run lengths.
 pub fn nginx() -> String {
-    let cfg = VmConfig::default();
     let mut t = Table::new(vec!["requests", "scheme", "throughput", "degradation"]);
     for requests in [60u64, 600, 6000] {
         let m = nginx_module(requests);
@@ -1508,7 +1483,6 @@ pub fn nginx() -> String {
                 frac(deg),
             ]);
         }
-        let _ = cfg.clone();
     }
     format!(
         "## nginx — 12-worker throughput degradation (paper: CPA 49.13%, Pythia 20.15%)\n\n{}",

@@ -87,9 +87,8 @@ pub struct ServerScenarioRun {
 }
 
 /// Run the server scenario: instrument + certify each scheme variant of
-/// the server module, drive one event loop per variant (concurrently;
-/// joined in scheme order so results are deterministic), and render the
-/// JSON + table.
+/// the server module, drive one event loop per variant (one after
+/// another, in scheme order), and render the JSON + table.
 ///
 /// # Errors
 ///
@@ -111,43 +110,27 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
         .collect::<Result<_, PythiaError>>()?;
 
     let cfg = EventLoopConfig::standard(spec.connections, spec.requests, spec.seed, spec.engine);
-    // One loop per variant, concurrently; panic-isolated like the suite
-    // workers, joined in spawn order for determinism.
-    let outcomes: Vec<Result<SchemeServerRun, PythiaError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = variants
-            .iter()
-            .map(|(s, m, checks)| {
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let decoded = Arc::new(DecodedModule::new(m));
-                        if cfg.engine == Engine::Block {
-                            decoded.decode_all(m);
-                        }
-                        let t = Instant::now();
-                        let stats = run_event_loop(m, decoded, &cfg)?;
-                        Ok(SchemeServerRun {
-                            scheme: *s,
-                            lint_checks: *checks,
-                            stats,
-                            wall_secs: t.elapsed().as_secs_f64(),
-                        })
-                    }))
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())))
-                })
+    // One loop per variant, one at a time so each variant's wall clock
+    // is its own (concurrent loops would time each other's contention);
+    // panic-isolated like the suite workers.
+    let mut runs = Vec::with_capacity(variants.len());
+    for (s, m, checks) in &variants {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let decoded = Arc::new(DecodedModule::new(m));
+            if cfg.engine == Engine::Block {
+                decoded.decode_all(m);
+            }
+            let t = Instant::now();
+            let stats = run_event_loop(m, decoded, &cfg)?;
+            Ok(SchemeServerRun {
+                scheme: *s,
+                lint_checks: *checks,
+                stats,
+                wall_secs: t.elapsed().as_secs_f64(),
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())))
-            })
-            .collect()
-    });
-    let mut runs = Vec::with_capacity(outcomes.len());
-    for (o, (s, _, _)) in outcomes.into_iter().zip(&variants) {
-        runs.push(o.map_err(|e| e.with_function(format!("server-{s}")))?);
+        }))
+        .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())));
+        runs.push(run.map_err(|e| e.with_function(format!("server-{s}")))?);
     }
 
     let json = render_json(spec, &cfg, &runs);
@@ -188,6 +171,14 @@ fn render_json(spec: &ServerScenarioSpec, cfg: &EventLoopConfig, runs: &[SchemeS
         out.push_str(&format!("      \"cancelled\": {},\n", s.cancelled));
         out.push_str(&format!("      \"multi_slice\": {},\n", s.multi_slice));
         out.push_str(&format!("      \"slices\": {},\n", s.slices));
+        out.push_str(&format!(
+            "      \"vm_instantiations\": {},\n",
+            s.vm_instantiations
+        ));
+        out.push_str(&format!(
+            "      \"replayed_insts\": {},\n",
+            s.replayed_insts
+        ));
         out.push_str(&format!("      \"events\": {},\n", s.events));
         out.push_str(&format!("      \"epochs\": {},\n", s.epochs));
         out.push_str(&format!("      \"closed\": {},\n", s.closed));

@@ -148,17 +148,12 @@ pub fn run_campaign_with(
     }
 
     // Reference run: how many writing-channel executions are there, and
-    // what does benign behaviour look like?
-    let benign = {
-        let mut vm = Vm::with_decoded(
-            &inst.module,
-            Arc::clone(&decoded),
-            cfg.clone(),
-            InputPlan::benign(seed),
-        );
-        vm.run("main", &[])
-            .map_err(|e| e.with_function(module.name.clone()))?
-    };
+    // what does benign behaviour look like? Its VM then serves every
+    // attack run too, reset in between (see `Vm::reset`).
+    let mut vm = Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
+    let benign = vm
+        .run("main", &[])
+        .map_err(|e| e.with_function(module.name.clone()))?;
     let total_channels = benign.metrics.ic_writes;
     let step = (total_channels / max_attacks.max(1)).max(1);
 
@@ -167,7 +162,7 @@ pub fn run_campaign_with(
     let mut target = 0u64;
     while target < total_channels && attacks < max_attacks {
         let plan = InputPlan::with_attack(seed, AttackSpec::smash(target, payload_len));
-        let mut vm = Vm::with_decoded(&inst.module, Arc::clone(&decoded), cfg.clone(), plan);
+        vm.reset(cfg.clone(), plan);
         let r = vm
             .run("main", &[])
             .map_err(|e| e.with_function(module.name.clone()))?;

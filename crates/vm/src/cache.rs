@@ -20,12 +20,14 @@ pub enum CacheOutcome {
 /// One set-associative level with LRU replacement.
 ///
 /// Tags live in one flat `sets × ways` array (LRU first, MRU last
-/// within each set's live prefix) instead of a `Vec` per set: the level
-/// is built fresh for every VM run, and ~33k per-set allocations for an
-/// LLC-sized level cost more than many short benchmark runs execute.
-/// The flat form is one calloc — lazily faulted — and each access
-/// touches a single short contiguous stripe.
-#[derive(Debug, Clone)]
+/// within each set's live prefix) instead of a `Vec` per set: ~33k
+/// per-set allocations for an LLC-sized level would cost more than
+/// many short benchmark runs execute. The flat form is one allocation,
+/// and each access touches a single short contiguous stripe. Only a
+/// set's live prefix is ever read, so emptying the level
+/// ([`Level::reset`]) zeroes the per-set live counts and leaves the
+/// stale tags behind.
+#[derive(Debug, Clone, Default)]
 struct Level {
     tags: Vec<u64>, // sets * ways
     lens: Vec<u32>, // live ways per set
@@ -51,6 +53,11 @@ impl Level {
             set_shift: line.trailing_zeros(),
             set_mask: sets as u64 - 1,
         }
+    }
+
+    /// Empty every set: tags past a set's live prefix are never read.
+    fn reset(&mut self) {
+        self.lens.fill(0);
     }
 
     /// Access a line; returns `true` on hit.
@@ -137,6 +144,29 @@ impl CacheSim {
             l1: Level::new(l1_capacity, line, 8),
             llc: Level::new(llc_capacity, line, 12),
             line,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Empty both levels and zero the counters, keeping the tag arrays:
+    /// afterwards the simulator behaves exactly like a freshly built one
+    /// of the same geometry, at the cost of clearing the per-set live
+    /// counts (~130 KiB for [`CacheSim::m1_like`]) instead of ~3 MiB of
+    /// tags.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.llc.reset();
+        self.stats = CacheStats::default();
+    }
+
+    /// An inert stand-in with no tag arrays, which lets
+    /// [`crate::Vm::reset`] move the real simulator out of a VM and
+    /// straight back in. Any access panics.
+    pub(crate) fn placeholder() -> Self {
+        CacheSim {
+            l1: Level::default(),
+            llc: Level::default(),
+            line: 0,
             stats: CacheStats::default(),
         }
     }
@@ -234,6 +264,35 @@ mod tests {
         assert_eq!(c.access_range(0x2000, 200), CacheOutcome::Miss);
         assert_eq!(c.stats().accesses, 4); // 200 bytes over 64B lines, aligned
         assert_eq!(c.access_range(0x2000, 200), CacheOutcome::L1Hit);
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_cache() {
+        // Tiny geometry (16-line L1, 64-line LLC): a pseudo-random
+        // stream over 96 lines evicts at both levels, leaving stale tags
+        // behind every set's live prefix.
+        let geometry = || CacheSim::new(1024, 4096, 64);
+        let trace: Vec<u64> = (0..2000u64)
+            .scan(1u64, |x, _| {
+                *x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                Some((*x >> 33) % 96 * 64)
+            })
+            .collect();
+        let mut used = geometry();
+        for &a in &trace {
+            used.access(a);
+        }
+        let s = used.stats();
+        assert!(s.misses > 0 && s.llc_hits > 0 && s.l1_hits > 0, "{s:?}");
+        used.reset();
+        assert_eq!(used.stats(), CacheStats::default());
+        let mut fresh = geometry();
+        for &a in trace.iter().rev().chain(&trace) {
+            assert_eq!(used.access(a), fresh.access(a), "diverged at {a:#x}");
+        }
+        assert_eq!(used.stats(), fresh.stats());
     }
 
     #[test]

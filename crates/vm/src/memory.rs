@@ -132,14 +132,16 @@ const ROOT_LEN: usize = 1 << (VA_BITS - 12 - LEAF_BITS);
 #[derive(Debug, Clone)]
 pub struct Memory {
     roots: Vec<Option<Box<[Option<Page>; LEAF_LEN]>>>,
-    resident: u64,
+    /// Page numbers in first-touch order, so [`Memory::reset`] unmaps
+    /// exactly what was mapped; its length is the resident page count.
+    mapped: Vec<u64>,
 }
 
 impl Default for Memory {
     fn default() -> Self {
         Memory {
             roots: vec![None; ROOT_LEN],
-            resident: 0,
+            mapped: Vec::new(),
         }
     }
 }
@@ -148,6 +150,28 @@ impl Memory {
     /// Fresh, fully-unmapped memory.
     pub fn new() -> Self {
         Memory::default()
+    }
+
+    /// Unmap every page and restart the resident count at 0: afterwards
+    /// the memory reads exactly like [`Memory::new`]. Only the pages
+    /// mapped since the last reset are visited; the radix table and its
+    /// leaves stay allocated for the next run.
+    pub fn reset(&mut self) {
+        for pn in self.mapped.drain(..) {
+            if let Some(leaf) = self.roots[(pn >> LEAF_BITS) as usize].as_mut() {
+                leaf[(pn as usize) & (LEAF_LEN - 1)] = None;
+            }
+        }
+    }
+
+    /// An inert stand-in with no radix table, which lets
+    /// [`crate::Vm::reset`] move the real memory out of a VM and straight
+    /// back in. Any access panics.
+    pub(crate) fn placeholder() -> Self {
+        Memory {
+            roots: Vec::new(),
+            mapped: Vec::new(),
+        }
     }
 
     /// The page backing `pn`, if it has been written.
@@ -168,7 +192,7 @@ impl Memory {
         let slot = &mut leaf[(pn as usize) & (LEAF_LEN - 1)];
         if slot.is_none() {
             *slot = Some(Box::new([0u8; PAGE_SIZE as usize]));
-            self.resident += 1;
+            self.mapped.push(pn);
         }
         slot.as_deref_mut().expect("page just mapped")
     }
@@ -368,13 +392,13 @@ impl Memory {
 
     /// Number of resident pages (for memory accounting in tests).
     pub fn resident_pages(&self) -> usize {
-        self.resident as usize
+        self.mapped.len()
     }
 
     /// Bytes of simulated memory touched so far (page granularity) — the
     /// run's resident footprint, reported by the execution profile.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident * PAGE_SIZE
+        self.mapped.len() as u64 * PAGE_SIZE
     }
 }
 
@@ -425,6 +449,26 @@ mod tests {
         m.write_bytes(addr, &[1, 2, 3, 4, 5, 6]).unwrap();
         assert_eq!(m.read_bytes(addr, 6).unwrap(), vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn reset_unmaps_every_page() {
+        let mut m = Memory::new();
+        m.write_bytes(2 * PAGE_SIZE - 3, &[1, 2, 3, 4, 5, 6])
+            .unwrap();
+        m.write_scalar(layout::HEAP_BASE, 8, -1).unwrap();
+        m.write_u8(layout::STACK_BASE + 17, 9).unwrap();
+        assert_eq!(m.resident_pages(), 4);
+        m.reset();
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.resident_bytes(), 0);
+        assert_eq!(m.read_bytes(2 * PAGE_SIZE - 3, 6).unwrap(), vec![0; 6]);
+        assert_eq!(m.read_scalar(layout::HEAP_BASE, 8).unwrap(), 0);
+        assert_eq!(m.read_u8(layout::STACK_BASE + 17).unwrap(), 0);
+        // The reset memory maps and counts pages like a fresh one.
+        m.write_u8(layout::STACK_BASE, 1).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u8(layout::STACK_BASE).unwrap(), 1);
     }
 
     #[test]

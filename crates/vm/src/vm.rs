@@ -477,6 +477,31 @@ pub struct Vm<'m> {
     pub(crate) witness: Witness,
 }
 
+/// The host buffers a VM keeps across [`Vm::reset`]: costly to
+/// allocate (the cache simulator alone holds ~3 MiB of tags), cheap to
+/// clear, and never observable by a run once cleared.
+struct Buffers {
+    mem: Memory,
+    cache: CacheSim,
+    phi_scratch: Vec<i64>,
+    frame_pool: Vec<Vec<i64>>,
+    argv_pool: Vec<Vec<i64>>,
+    zeros: Vec<u8>,
+}
+
+impl Buffers {
+    fn new() -> Self {
+        Buffers {
+            mem: Memory::new(),
+            cache: CacheSim::m1_like(),
+            phi_scratch: Vec::new(),
+            frame_pool: Vec::new(),
+            argv_pool: Vec::new(),
+            zeros: Vec::new(),
+        }
+    }
+}
+
 impl<'m> Vm<'m> {
     /// Build a VM for `module` (globals are materialized immediately).
     ///
@@ -484,7 +509,7 @@ impl<'m> Vm<'m> {
     /// layout that does not fit the address space is recorded and
     /// surfaced as a [`PythiaError::Setup`] by the next [`Vm::run`].
     pub fn new(module: &'m Module, cfg: VmConfig, plan: InputPlan) -> Self {
-        Self::new_inner(module, None, cfg, plan)
+        Self::with_decoded(module, Arc::new(DecodedModule::new(module)), cfg, plan)
     }
 
     /// Like [`Vm::new`], but reuse an existing decode cache. `decoded`
@@ -497,14 +522,41 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         plan: InputPlan,
     ) -> Self {
-        Self::new_inner(module, Some(decoded), cfg, plan)
+        Self::assemble(module, decoded, cfg, plan, Buffers::new())
     }
 
-    fn new_inner(
+    /// Prepare this VM for another run of the same module: afterwards it
+    /// is in exactly the state [`Vm::with_decoded`] would build from the
+    /// same module, decode cache, `cfg` and `plan`, whatever the previous
+    /// run left behind (a trap mid-call, a setup error, a recorded
+    /// witness). Only the host buffers survive — the simulated memory's
+    /// page tables, the cache simulator's tag arrays and the engines'
+    /// scratch pools — cleared instead of reallocated, so a fleet of
+    /// short runs pays for allocating them once.
+    pub fn reset(&mut self, cfg: VmConfig, plan: InputPlan) {
+        let mut bufs = Buffers {
+            mem: std::mem::replace(&mut self.mem, Memory::placeholder()),
+            cache: std::mem::replace(&mut self.cache, CacheSim::placeholder()),
+            phi_scratch: std::mem::take(&mut self.phi_scratch),
+            frame_pool: std::mem::take(&mut self.frame_pool),
+            argv_pool: std::mem::take(&mut self.argv_pool),
+            zeros: std::mem::take(&mut self.zeros),
+        };
+        bufs.mem.reset();
+        bufs.cache.reset();
+        *self = Self::assemble(self.module, Arc::clone(&self.decoded), cfg, plan, bufs);
+    }
+
+    /// The one constructor behind [`Vm::with_decoded`] and [`Vm::reset`]:
+    /// every per-run field is set here from `cfg` and `plan`, so nothing
+    /// can leak from one run into the next. `bufs` must be fresh or
+    /// cleared.
+    fn assemble(
         module: &'m Module,
-        decoded: Option<Arc<DecodedModule>>,
+        decoded: Arc<DecodedModule>,
         cfg: VmConfig,
         plan: InputPlan,
+        bufs: Buffers,
     ) -> Self {
         let (heap, heap_error) = match SectionedHeap::try_new(cfg.heap) {
             Ok(h) => (h, None),
@@ -517,8 +569,8 @@ impl<'m> Vm<'m> {
             module,
             pa: PaContext::from_seed(cfg.seed ^ 0x5041_5041),
             heap,
-            cache: CacheSim::m1_like(),
-            mem: Memory::new(),
+            cache: bufs.cache,
+            mem: bufs.mem,
             plan,
             rng: SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15)),
             shadow: FastMap::default(),
@@ -533,15 +585,15 @@ impl<'m> Vm<'m> {
             profile: Profile::default(),
             trace: Vec::new(),
             setup_error: heap_error,
-            decoded: decoded.unwrap_or_else(|| Arc::new(DecodedModule::new(module))),
+            decoded,
             cost_tbl: cost_table(&cfg.cost),
             op_counts: [0; 256],
             pa_key_counts: [0; 5],
             trace_on: cfg.trace_limit > 0,
-            phi_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            argv_pool: Vec::new(),
-            zeros: Vec::new(),
+            phi_scratch: bufs.phi_scratch,
+            frame_pool: bufs.frame_pool,
+            argv_pool: bufs.argv_pool,
+            zeros: bufs.zeros,
             witness: Witness::default(),
             cfg,
         };
@@ -638,7 +690,9 @@ impl<'m> Vm<'m> {
     }
 
     /// Run `entry` with integer `args`. Returns the exit reason plus
-    /// metrics. The VM can be reused only for a single run.
+    /// metrics. A VM runs once per construction: the run consumes its
+    /// input plan and leaves memory, heap and counters behind, so call
+    /// [`Vm::reset`] before running it again.
     ///
     /// # Errors
     ///

@@ -306,6 +306,13 @@ pub struct ServerRunStats {
     pub multi_slice: u64,
     /// Total slices executed (VM runs, background traffic only).
     pub slices: u64,
+    /// VM runs of the whole loop: every slice plus two per attack (the
+    /// leak probe and the delivery).
+    pub vm_instantiations: u64,
+    /// Instructions executed again because restart slicing re-runs a
+    /// request from scratch: each slice after a request's first replays
+    /// everything its previous slice executed.
+    pub replayed_insts: u64,
     /// Connections closed by keep-alive churn.
     pub closed: u64,
     /// Connections reopened to replace closed ones.
@@ -357,6 +364,8 @@ struct Inflight {
     input_seed: u64,
     vm_seed: u64,
     slices: u64,
+    /// Instructions the latest slice executed (replayed by the next).
+    last_insts: u64,
     cancel_marked: bool,
     arena: Option<u64>,
 }
@@ -457,6 +466,16 @@ pub fn run_event_loop(
         record_witness: witness,
         inline_exec: true,
     };
+    // One VM serves every leak probe, delivery and slice of the loop:
+    // `Vm::reset` before each run gives it exactly the state a fresh
+    // build would, but keeps its page tables, cache simulator and
+    // scratch pools instead of reallocating them per run.
+    let mut vm = Vm::with_decoded(
+        module,
+        decoded,
+        vm_cfg(cfg.seed, 0, false),
+        InputPlan::benign(cfg.seed),
+    );
 
     let mut event: u64 = 0;
     while stats.retired < cfg.requests {
@@ -477,18 +496,17 @@ pub fn run_event_loop(
             // Recon: replay the victim request at the *leak* epoch's
             // canary stream with witness recording on — what an intra-
             // epoch disclosure primitive would have shown the attacker.
-            let mut probe = Vm::with_decoded(
-                module,
-                decoded.clone(),
+            vm.reset(
                 vm_cfg(clock.epoch_seed(leak_epoch), 10_000_000, true),
                 InputPlan::benign(input_seed),
             );
-            if probe.run("handle_request", &[conn_arg, req_arg]).is_err() {
+            stats.vm_instantiations += 1;
+            if vm.run("handle_request", &[conn_arg, req_arg]).is_err() {
                 stats.internal_errors += 1;
                 row.other += 1;
                 continue;
             }
-            let w = probe.witness();
+            let w = vm.witness();
             let a_base = w.ic_writes.iter().find(|e| e.0 == 1).map(|e| e.1);
             let role_addr = w.ic_writes.iter().find(|e| e.0 == 0).map(|e| e.1);
             let (Some(a_base), Some(role_addr)) = (a_base, role_addr) else {
@@ -517,9 +535,7 @@ pub fn run_event_loop(
             // Delivery: same request, delivery epoch's canary stream,
             // payload on IC execution 1 (the socket read). Attack-borne
             // requests run unsliced — the attacker paces its own client.
-            let mut vm = Vm::with_decoded(
-                module,
-                decoded.clone(),
+            vm.reset(
                 vm_cfg(clock.epoch_seed(del_epoch), 10_000_000, false),
                 InputPlan::with_attack(
                     input_seed,
@@ -529,6 +545,7 @@ pub fn run_event_loop(
                     },
                 ),
             );
+            stats.vm_instantiations += 1;
             match vm.run("handle_request", &[conn_arg, req_arg]) {
                 Err(_) => {
                     stats.internal_errors += 1;
@@ -566,6 +583,7 @@ pub fn run_event_loop(
                     input_seed,
                     vm_seed: clock.epoch_seed(epoch),
                     slices: 0,
+                    last_insts: 0,
                     cancel_marked: churn.gen_range(0..1000) < cfg.cancel_permille,
                     arena,
                 }
@@ -575,17 +593,18 @@ pub fn run_event_loop(
         fl.slices += 1;
         stats.slices += 1;
         let budget = fl.slices * cfg.slice_insts;
-        let mut vm = Vm::with_decoded(
-            module,
-            decoded.clone(),
+        vm.reset(
             vm_cfg(fl.vm_seed, budget, false),
             InputPlan::benign(fl.input_seed),
         );
+        stats.vm_instantiations += 1;
+        stats.replayed_insts += fl.last_insts;
         let outcome = vm.run("handle_request", &[conn.conn_id as i64, fl.reqno as i64]);
         let mut done = true;
         match outcome {
             Err(_) => stats.internal_errors += 1,
             Ok(r) => {
+                fl.last_insts = r.metrics.insts;
                 stats.insts += r.metrics.insts;
                 stats.cycles += r.metrics.cycles();
                 stats.peak_resident_bytes =
@@ -683,6 +702,8 @@ mod tests {
         assert!(s.cancelled > 0, "some requests must be cancelled");
         assert!(s.multi_slice > 0, "some requests must need several slices");
         assert!(s.closed > 0, "keep-alive churn must close connections");
+        assert_eq!(s.vm_instantiations, s.slices + 2 * s.attacks);
+        assert!(s.replayed_insts > 0 && s.replayed_insts < s.insts);
         // Outstanding arenas at stop = admitted - (retired + cancelled),
         // i.e. the requests still in flight; everything else was freed.
         let in_flight = s.admitted - s.retired - s.cancelled;
@@ -709,6 +730,7 @@ mod tests {
             assert_eq!(r.response_sum, runs[0].response_sum);
             assert_eq!(r.cycles, runs[0].cycles);
             assert_eq!(r.insts, runs[0].insts);
+            assert_eq!(r.replayed_insts, runs[0].replayed_insts);
         }
     }
 }

@@ -35,6 +35,13 @@ echo "== cargo test -q --workspace =="
 # test` from the root only tests the root package.
 cargo test -q --workspace
 
+echo "== perfbench: build + unit tests =="
+# The repository benchmark is a package of its own that builds VmConfig
+# and ServerRunStats directly and drives Vm, CacheSim and the event
+# loop; building it here makes an API change that breaks the benchmark
+# fail CI instead of the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== pythia-lint --all-schemes =="
 # Static certification gate: every suite benchmark, instrumented under
 # every scheme, must satisfy all protection invariants (DESIGN.md §5c).

@@ -9,9 +9,14 @@
 //! program shapes no hand-written test covers.
 
 use proptest::prelude::*;
-use pythia::core::{instrument_with, Scheme};
-use pythia::ir::{verify, CmpPred, FunctionBuilder, Intrinsic, Module, Ty, ValueId};
-use pythia::vm::{ExitReason, InputPlan, Vm, VmConfig};
+use pythia::core::{instrument_with, PythiaError, Scheme};
+use pythia::heap::SectionConfig;
+use pythia::ir::{verify, CastKind, CmpPred, FunctionBuilder, Intrinsic, Module, Ty, ValueId};
+use pythia::vm::{
+    AttackSpec, DecodedModule, Engine, ExitReason, InputPlan, RunResult, Vm, VmConfig,
+};
+use pythia::workloads::{server_module, ADMIN_MAGIC};
+use std::sync::Arc;
 
 /// One step of the random program recipe.
 #[derive(Debug, Clone)]
@@ -195,6 +200,164 @@ proptest! {
             );
             // Instrumentation can only add work.
             prop_assert!(r.metrics.cycles_mc >= vanilla.metrics.cycles_mc);
+        }
+    }
+}
+
+/// The Pythia-instrumented server module plus a `fault` entry that
+/// loads through a null-page pointer.
+fn reset_module() -> Module {
+    let mut m = server_module();
+    let mut b = FunctionBuilder::new("fault", vec![], Ty::I64);
+    let k = b.const_i64(8);
+    let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I64));
+    let v = b.load(p);
+    b.ret(Some(v));
+    m.add_function(b.finish());
+    verify::verify_module(&m).expect("valid IR");
+    let ctx = pythia::analysis::SliceContext::new(&m);
+    let report = pythia::analysis::VulnerabilityReport::analyze(&ctx);
+    instrument_with(&m, &ctx, &report, Scheme::Pythia).module
+}
+
+/// Everything a run shows: its result, and the VM state the caller can
+/// read afterwards.
+fn observe(vm: &mut Vm<'_>, entry: &str, args: &[i64]) -> String {
+    let r: Result<RunResult, PythiaError> = vm.run(entry, args);
+    format!(
+        "{:?}\nresident {}\nwitness {:?}\ntrace {:?}",
+        r.map(|r| (r.exit, r.metrics, r.profile)),
+        vm.memory().resident_bytes(),
+        vm.witness(),
+        vm.trace()
+    )
+}
+
+/// One VM, `reset` between runs that end every way a run can (return,
+/// budget cut mid-call, canary detection, memory fault, setup error),
+/// must show exactly what a freshly built VM shows for each run, under
+/// both engines.
+#[test]
+fn a_reset_vm_runs_exactly_like_a_fresh_one() {
+    let m = reset_module();
+    let request = [3i64, 5];
+    let server = |seed: u64| VmConfig {
+        seed,
+        max_call_depth: 64,
+        inline_exec: true,
+        ..VmConfig::default()
+    };
+
+    // The overflow payload, as the server scenario's injector splices it:
+    // junk from the request buffer up to `role`, then the admin magic.
+    let mut probe = Vm::new(
+        &m,
+        VmConfig {
+            record_witness: true,
+            ..server(1)
+        },
+        InputPlan::benign(7),
+    );
+    probe.run("handle_request", &request).unwrap();
+    let w = probe.witness();
+    let at = |n: u64| w.ic_writes.iter().find(|e| e.0 == n).unwrap().1;
+    let (role, reqbuf) = (at(0), at(1));
+    let mut payload = vec![0x41u8; (role - reqbuf + 8) as usize];
+    let tail = payload.len() - 8;
+    payload[tail..].copy_from_slice(&ADMIN_MAGIC.to_le_bytes());
+    let attack = InputPlan::with_attack(
+        7,
+        AttackSpec {
+            ic_execution: 1,
+            payload,
+        },
+    );
+    let bad_heap = SectionConfig {
+        base: u64::MAX - 0xf,
+        ..SectionConfig::default()
+    };
+
+    #[allow(clippy::type_complexity)]
+    let runs: Vec<(&str, &[i64], VmConfig, InputPlan, &str)> = vec![
+        (
+            "handle_request",
+            &request[..],
+            server(1),
+            InputPlan::benign(7),
+            "Ok((Returned(",
+        ),
+        (
+            "main",
+            &[],
+            VmConfig {
+                max_insts: 300,
+                ..server(1)
+            },
+            InputPlan::benign(7),
+            "Ok((Trapped(InstBudgetExhausted)",
+        ),
+        (
+            "handle_request",
+            &request[..],
+            server(1),
+            attack,
+            "Ok((Trapped(PacAuthFailure { key: Ga })",
+        ),
+        (
+            "fault",
+            &[],
+            server(1),
+            InputPlan::benign(7),
+            "Ok((Trapped(MemoryFault {",
+        ),
+        (
+            "main",
+            &[],
+            VmConfig {
+                record_witness: true,
+                trace_limit: 64,
+                ..server(99)
+            },
+            InputPlan::benign(8),
+            "Ok((Returned(",
+        ),
+        (
+            "main",
+            &[],
+            VmConfig {
+                heap: bad_heap,
+                ..server(1)
+            },
+            InputPlan::benign(7),
+            "Err(",
+        ),
+        (
+            "main",
+            &[],
+            server(2),
+            InputPlan::benign(9),
+            "Ok((Returned(",
+        ),
+    ];
+    for engine in [Engine::Legacy, Engine::Block] {
+        let decoded = Arc::new(DecodedModule::new(&m));
+        let with = |cfg: &VmConfig| VmConfig {
+            engine,
+            ..cfg.clone()
+        };
+        let mut reused = Vm::with_decoded(
+            &m,
+            Arc::clone(&decoded),
+            with(&server(0)),
+            InputPlan::benign(0),
+        );
+        for (i, (entry, args, cfg, plan, expect)) in runs.iter().enumerate() {
+            let mut fresh = Vm::with_decoded(&m, Arc::clone(&decoded), with(cfg), plan.clone());
+            let want = observe(&mut fresh, entry, args);
+            assert!(want.starts_with(expect), "run {i} ({engine:?}): {want}");
+            reused.reset(with(cfg), plan.clone());
+            let got = observe(&mut reused, entry, args);
+            assert_eq!(got, want, "run {i} ({engine:?}): reset diverged from fresh");
         }
     }
 }
