@@ -39,22 +39,13 @@
 //! never interned, so base object ids are identical across the two modes —
 //! the refinement property tests rely on this).
 //!
-//! # Context sensitivity (1-CFA)
+//! # Context sensitivity
 //!
-//! [`CtxPointsTo`] re-runs the same constraint system with every function
-//! cloned once per *calling context*: the inter-SCC callsite that entered
-//! the function's strongly-connected component (1-CFA, with SCC collapse —
-//! calls inside a recursion cycle inherit the caller's context, keeping
-//! the context set finite). Abstract objects stay context-insensitive
-//! (one [`ObjId`] space shared with the insensitive relation), so clients
-//! can mix per-context value sets with the insensitive object metadata.
-//! A node-count budget guards against cloning blow-up: past it the
-//! analysis degrades to the insensitive relation (recorded in
-//! [`CtxStats::fallback`]), which is always a sound superset — the
-//! refinement tests assert per-context sets never exceed the insensitive
-//! ones.
+//! Context-sensitive relations live in [`crate::summary`]: the summary
+//! solver instantiates the per-function constraint lists gathered here
+//! (`gather_function`) once per calling context, over this relation's
+//! object ids. 1-CFA is that solver at k = 1.
 
-use crate::callgraph::CallGraph;
 use pythia_ir::{Callee, FuncId, GlobalId, Inst, Intrinsic, Module, Ty, ValueId, ValueKind};
 use std::collections::{BTreeSet, HashMap};
 
@@ -359,7 +350,7 @@ impl PointsTo {
 
 /// One function's context-agnostic points-to constraints, gathered once
 /// per function from the IR and instantiated per calling context. Both
-/// the clone-based builder below and the summary solver
+/// the insensitive builder below and the summary solver
 /// ([`crate::summary`]) replay exactly this list, which is what makes
 /// their per-instruction semantics identical by construction (the OPT-02
 /// equivalence check then only has to compare *solving* strategies).
@@ -634,11 +625,6 @@ struct Builder<'m> {
     m: &'m Module,
     pt: PointsTo,
     constraints: Vec<Constraint>,
-    /// 1-CFA cloning plan; `None` = the context-insensitive solve.
-    plan: Option<CtxPlan>,
-    /// While gathering under a plan: the context index of the function
-    /// currently being gathered.
-    cur_ctx: usize,
 }
 
 impl<'m> Builder<'m> {
@@ -665,45 +651,7 @@ impl<'m> Builder<'m> {
             m,
             pt,
             constraints: Vec::new(),
-            plan: None,
-            cur_ctx: 0,
         }
-    }
-
-    /// A builder whose value-node space is cloned per calling context.
-    /// Always field-sensitive (the precision the context layer refines).
-    fn with_plan(m: &'m Module, plan: CtxPlan) -> Self {
-        let mut b = Self::new(m, Precision::FieldSensitive);
-        b.pt.value_pts = vec![ObjSet::default(); plan.total];
-        b.plan = Some(plan);
-        b
-    }
-
-    /// Node of `(fid, v)` in the *current* gathering context.
-    fn vnode(&self, fid: FuncId, v: ValueId) -> usize {
-        match &self.plan {
-            None => self.pt.node(fid, v),
-            Some(p) => p.node(fid, self.cur_ctx, v),
-        }
-    }
-
-    /// Node of `(fid, v)` in an explicit context (cross-function links).
-    fn vnode_at(&self, fid: FuncId, ctx: usize, v: ValueId) -> usize {
-        match &self.plan {
-            None => self.pt.node(fid, v),
-            Some(p) => p.node(fid, ctx, v),
-        }
-    }
-
-    /// The context `target` runs under when called from `site` in `caller`
-    /// (gathered under `self.cur_ctx`): the caller's own context for an
-    /// intra-SCC (recursive) call, the callsite's context otherwise.
-    fn callee_ctx(&self, caller: FuncId, site: ValueId, target: FuncId) -> usize {
-        let Some(p) = &self.plan else { return 0 };
-        if p.scc_of[caller.0 as usize] == p.scc_of[target.0 as usize] {
-            return self.cur_ctx;
-        }
-        p.ctx_index(target, CtxKey::Site(caller, site))
     }
 
     fn intern_obj(&mut self, kind: MemObjectKind, content: Option<Ty>, offset: u64) -> ObjId {
@@ -771,33 +719,29 @@ impl<'m> Builder<'m> {
             .collect();
 
         for fid in self.m.func_ids() {
-            let nctx = self.plan.as_ref().map_or(1, |p| p.nctx(fid));
-            for ci in 0..nctx {
-                self.cur_ctx = ci;
-                for lc in &locals[fid.0 as usize] {
-                    self.apply_local(fid, lc);
-                }
+            for lc in &locals[fid.0 as usize] {
+                self.apply_local(fid, lc);
             }
         }
     }
 
-    /// Instantiate one shared constraint in the current gathering context.
+    /// Instantiate one shared constraint.
     fn apply_local(&mut self, fid: FuncId, lc: &LocalConstraint) {
         match lc {
             LocalConstraint::Copy { src, dst } => {
-                let (s, d) = (self.vnode(fid, *src), self.vnode(fid, *dst));
+                let (s, d) = (self.pt.node(fid, *src), self.pt.node(fid, *dst));
                 self.constraints.push(Constraint::Copy { src: s, dst: d });
             }
             LocalConstraint::Load { ptr, dst } => {
-                let (p, d) = (self.vnode(fid, *ptr), self.vnode(fid, *dst));
+                let (p, d) = (self.pt.node(fid, *ptr), self.pt.node(fid, *dst));
                 self.constraints.push(Constraint::Load { ptr: p, dst: d });
             }
             LocalConstraint::Store { ptr, src, .. } => {
-                let (p, s) = (self.vnode(fid, *ptr), self.vnode(fid, *src));
+                let (p, s) = (self.pt.node(fid, *ptr), self.pt.node(fid, *src));
                 self.constraints.push(Constraint::Store { ptr: p, src: s });
             }
             LocalConstraint::FieldOf { base, dst, field } => {
-                let (b, d) = (self.vnode(fid, *base), self.vnode(fid, *dst));
+                let (b, d) = (self.pt.node(fid, *base), self.pt.node(fid, *dst));
                 self.constraints.push(Constraint::FieldOf {
                     base: b,
                     dst: d,
@@ -806,45 +750,34 @@ impl<'m> Builder<'m> {
             }
             LocalConstraint::Seed { dst, kind, content } => {
                 let o = self.intern_obj(*kind, content.clone(), 0);
-                let node = self.vnode(fid, *dst);
+                let node = self.pt.node(fid, *dst);
                 self.seed(node, o);
             }
             LocalConstraint::SeedUnknown { dst } => {
-                let node = self.vnode(fid, *dst);
+                let node = self.pt.node(fid, *dst);
                 self.seed_unknown(node);
             }
             LocalConstraint::Call { site, target, args } => {
-                let node = self.vnode(fid, *site);
-                self.link_call(fid, *site, node, *target, args);
+                let node = self.pt.node(fid, *site);
+                self.link_call(fid, node, *target, args);
             }
         }
     }
 
-    fn link_call(
-        &mut self,
-        fid: FuncId,
-        v: ValueId,
-        node: usize,
-        target: FuncId,
-        args: &[ValueId],
-    ) {
+    fn link_call(&mut self, fid: FuncId, node: usize, target: FuncId, args: &[ValueId]) {
         let callee = self.m.func(target);
-        // Under a context plan, the callee's values are qualified by the
-        // context this callsite selects; intra-SCC calls stay in the
-        // caller's context so recursive cycles keep the context set finite.
-        let tctx = self.callee_ctx(fid, v, target);
         for (i, a) in args.iter().enumerate() {
             if i >= callee.params.len() {
                 break;
             }
-            let an = self.vnode(fid, *a);
-            let pn = self.vnode_at(target, tctx, callee.arg(i));
+            let an = self.pt.node(fid, *a);
+            let pn = self.pt.node(target, callee.arg(i));
             self.constraints.push(Constraint::Copy { src: an, dst: pn });
         }
         // Return values flow back to the call node.
         for bb in callee.block_ids() {
             if let Some(Inst::Ret { value: Some(rv) }) = callee.terminator(bb) {
-                let rn = self.vnode_at(target, tctx, *rv);
+                let rn = self.pt.node(target, *rv);
                 self.constraints
                     .push(Constraint::Copy { src: rn, dst: node });
             }
@@ -935,280 +868,22 @@ fn get_two<T>(v: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
     }
 }
 
-/// Hard ceiling on the number of cloned value nodes the 1-CFA solve may
-/// allocate. Past it, [`CtxPointsTo::analyze`] degrades to the insensitive
+/// Default ceiling on the number of instantiated value nodes a
+/// context-sensitive solve may allocate. Past it,
+/// [`crate::SummaryPointsTo::analyze`] degrades to the insensitive
 /// relation (always a sound superset), recorded in [`CtxStats::fallback`].
 pub const CTX_NODE_BUDGET: usize = 2_000_000;
 
-/// A calling context under 1-CFA with SCC collapse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum CtxKey {
-    /// Entry context: the SCC has no known inter-SCC caller (e.g. `main`).
-    Root,
-    /// The inter-SCC callsite `(caller, call value)` that entered the SCC.
-    Site(FuncId, ValueId),
-}
-
-/// The cloning plan of a 1-CFA solve: which contexts each function runs
-/// under, and where each `(function, context)` clone lives in the node
-/// space. Every member of a callgraph SCC shares one context list, so an
-/// intra-SCC (recursive) call can inherit the caller's context *index*
-/// directly — that collapse is what keeps the context set finite.
-#[derive(Debug, Clone)]
-struct CtxPlan {
-    /// SCC index of each function.
-    scc_of: Vec<usize>,
-    /// Ordered context keys per function (shared across its SCC).
-    ctx_keys: Vec<Vec<CtxKey>>,
-    /// Node-space base of each `(function, context)` clone.
-    bases: Vec<Vec<u32>>,
-    /// Total cloned value nodes.
-    total: usize,
-}
-
-impl CtxPlan {
-    /// Build the plan, or `None` if cloning would exceed `budget` nodes.
-    fn build(m: &Module, budget: usize) -> Option<CtxPlan> {
-        let cg = CallGraph::build(m);
-        let nf = m.functions().len();
-        let sccs = cg.sccs();
-        let mut scc_of = vec![0usize; nf];
-        for (i, comp) in sccs.iter().enumerate() {
-            for f in comp {
-                scc_of[f.0 as usize] = i;
-            }
-        }
-        // Indirect-call resolution must mirror the constraint gatherer
-        // (address-taken + arity match) so every edge `link_call` creates
-        // has a context key to land in.
-        let address_taken = collect_address_taken(m);
-        let mut keys_of_scc: Vec<Vec<CtxKey>> = vec![Vec::new(); sccs.len()];
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            for v in f.value_ids() {
-                let ValueKind::Inst(Inst::Call { callee, args }) = &f.value(v).kind else {
-                    continue;
-                };
-                let targets: Vec<FuncId> = match callee {
-                    Callee::Func(t) => vec![*t],
-                    Callee::Indirect(_) => address_taken
-                        .iter()
-                        .copied()
-                        .filter(|t| m.func(*t).params.len() == args.len())
-                        .collect(),
-                    Callee::Intrinsic(_) => Vec::new(),
-                };
-                for t in targets {
-                    if scc_of[t.0 as usize] == scc_of[fid.0 as usize] {
-                        continue; // intra-SCC: inherits, never a new context
-                    }
-                    let key = CtxKey::Site(fid, v);
-                    let ks = &mut keys_of_scc[scc_of[t.0 as usize]];
-                    if !ks.contains(&key) {
-                        ks.push(key);
-                    }
-                }
-            }
-        }
-        for ks in &mut keys_of_scc {
-            if ks.is_empty() {
-                ks.push(CtxKey::Root);
-            }
-            ks.sort();
-        }
-        let mut ctx_keys = vec![Vec::new(); nf];
-        let mut bases = vec![Vec::new(); nf];
-        let mut total = 0usize;
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            let ks = keys_of_scc[scc_of[fid.0 as usize]].clone();
-            let mut b = Vec::with_capacity(ks.len());
-            for _ in &ks {
-                b.push(total as u32);
-                total += f.num_values();
-                if total > budget {
-                    return None;
-                }
-            }
-            ctx_keys[fid.0 as usize] = ks;
-            bases[fid.0 as usize] = b;
-        }
-        Some(CtxPlan {
-            scc_of,
-            ctx_keys,
-            bases,
-            total,
-        })
-    }
-
-    fn nctx(&self, f: FuncId) -> usize {
-        self.ctx_keys[f.0 as usize].len()
-    }
-
-    fn node(&self, f: FuncId, ctx: usize, v: ValueId) -> usize {
-        (self.bases[f.0 as usize][ctx] + v.0) as usize
-    }
-
-    /// Index of `key` in `f`'s context list. By construction every edge the
-    /// gatherer links has a key; a miss is a plan/gather divergence bug.
-    fn ctx_index(&self, f: FuncId, key: CtxKey) -> usize {
-        self.ctx_keys[f.0 as usize]
-            .iter()
-            .position(|k| *k == key)
-            .expect("callsite missing from 1-CFA context plan")
-    }
-
-    fn key(&self, f: FuncId, ctx: usize) -> CtxKey {
-        self.ctx_keys[f.0 as usize][ctx]
-    }
-}
-
-/// Headline counters of a [`CtxPointsTo`] solve, surfaced per benchmark in
-/// BENCH_suite.json / profile.md.
+/// Headline counters of a context-sensitive solve, surfaced per benchmark
+/// in BENCH_suite.json / profile.md.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CtxStats {
     /// Total calling contexts across all functions (one per function when
     /// the solve fell back).
     pub contexts: usize,
-    /// Total cloned value nodes the contexts cost (0 on fallback).
-    pub cloned_nodes: usize,
-    /// Whether the node budget (or an object-remap miss) forced a fallback
-    /// to the insensitive relation.
+    /// Whether the node budget forced a fallback to the insensitive
+    /// relation.
     pub fallback: bool,
-}
-
-/// 1-CFA points-to relation layered over an insensitive base [`PointsTo`].
-///
-/// Abstract objects are shared with the base relation — every per-context
-/// set speaks in the base's [`ObjId`]s, so clients can freely mix
-/// per-context value sets with the base object metadata (kinds, extents,
-/// memory sets). On fallback the queries return `None` and callers must
-/// use the base relation, which is always a sound superset.
-#[derive(Debug, Clone)]
-pub struct CtxPointsTo {
-    data: Option<CtxData>,
-    stats: CtxStats,
-}
-
-#[derive(Debug, Clone)]
-struct CtxData {
-    plan: CtxPlan,
-    /// Per-clone points-to sets, remapped onto the base relation's ids.
-    value_pts: Vec<ObjSet>,
-}
-
-impl CtxPointsTo {
-    /// Run the 1-CFA solve over `m` at the default node budget. `base`
-    /// must be the field-sensitive relation of the same module.
-    pub fn analyze(m: &Module, base: &PointsTo) -> Self {
-        Self::analyze_with_budget(m, base, CTX_NODE_BUDGET)
-    }
-
-    /// The trivial no-context relation: every query returns `None` and
-    /// callers use the insensitive base. Used both as the budget-exhausted
-    /// fallback and as the forced-insensitive context policy.
-    pub(crate) fn insensitive(m: &Module) -> Self {
-        CtxPointsTo {
-            data: None,
-            stats: CtxStats {
-                contexts: m.functions().len(),
-                cloned_nodes: 0,
-                fallback: true,
-            },
-        }
-    }
-
-    /// Run the 1-CFA solve with an explicit node budget.
-    pub fn analyze_with_budget(m: &Module, base: &PointsTo, budget: usize) -> Self {
-        let fallback = || Self::insensitive(m);
-        let Some(plan) = CtxPlan::build(m, budget) else {
-            return fallback();
-        };
-        let pt = Builder::with_plan(m, plan.clone()).solve();
-        // Remap the ctx solve's object ids onto the base relation's. Roots
-        // intern in the same program order in both solves, and the ctx
-        // solve's field splits derive from (⊆-smaller) pointee sets, so
-        // every kind should resolve in the base; a miss means the two
-        // relations diverged and the only sound answer is the base one.
-        let mut map: Vec<ObjId> = Vec::with_capacity(pt.objects.len());
-        for kind in &pt.objects {
-            let mapped_kind = match *kind {
-                MemObjectKind::Field { base: b, offset, size } => MemObjectKind::Field {
-                    // Roots intern strictly before their fields, so the
-                    // root's entry is already in `map`.
-                    base: map[b as usize],
-                    offset,
-                    size,
-                },
-                k => k,
-            };
-            match base.obj_id(mapped_kind) {
-                Some(id) => map.push(id),
-                None => return fallback(),
-            }
-        }
-        let value_pts: Vec<ObjSet> = pt
-            .value_pts
-            .iter()
-            .map(|s| ObjSet {
-                objects: s.objects.iter().map(|&o| map[o as usize]).collect(),
-                unknown: s.unknown,
-            })
-            .collect();
-        let stats = CtxStats {
-            contexts: plan.ctx_keys.iter().map(Vec::len).sum(),
-            cloned_nodes: plan.total,
-            fallback: false,
-        };
-        CtxPointsTo {
-            data: Some(CtxData { plan, value_pts }),
-            stats,
-        }
-    }
-
-    /// Whether the solve degraded to the insensitive relation.
-    pub fn is_fallback(&self) -> bool {
-        self.data.is_none()
-    }
-
-    /// Solver counters for profiling surfaces.
-    pub fn stats(&self) -> CtxStats {
-        self.stats
-    }
-
-    /// Number of calling contexts of `f` (1 on fallback).
-    pub fn num_contexts_of(&self, f: FuncId) -> usize {
-        self.data.as_ref().map_or(1, |d| d.plan.nctx(f))
-    }
-
-    /// Points-to set of `v` in calling context `ctx` of `f`, in the base
-    /// relation's object ids. `None` when the solve fell back — callers
-    /// must use the base relation's set instead.
-    pub fn points_to_in(&self, f: FuncId, ctx: usize, v: ValueId) -> Option<&ObjSet> {
-        let d = self.data.as_ref()?;
-        Some(&d.value_pts[d.plan.node(f, ctx, v)])
-    }
-
-    /// The inter-SCC callsite `(caller, call value)` that selects context
-    /// `ctx` of `f`; `None` for the root context or on fallback.
-    pub fn ctx_callsite(&self, f: FuncId, ctx: usize) -> Option<(FuncId, ValueId)> {
-        match self.data.as_ref()?.plan.key(f, ctx) {
-            CtxKey::Root => None,
-            CtxKey::Site(c, s) => Some((c, s)),
-        }
-    }
-
-    /// Union of `v`'s sets over every context of `f` — the context-
-    /// insensitive projection. Must be ⊆ the base relation's set (the
-    /// refinement property the soundness tests assert suite-wide).
-    pub fn projected(&self, f: FuncId, v: ValueId) -> Option<ObjSet> {
-        let d = self.data.as_ref()?;
-        let mut out = ObjSet::default();
-        for ctx in 0..d.plan.nctx(f) {
-            out.merge(&d.value_pts[d.plan.node(f, ctx, v)]);
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -1499,113 +1174,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// callee `id(p) = p` called from two sites with distinct allocas.
-    fn two_caller_module() -> (Module, FuncId, FuncId, ValueId, ValueId, ValueId, ValueId) {
-        let mut m = Module::new("m");
-        let mut cb = FunctionBuilder::new("id", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
-        let p = cb.func().arg(0);
-        cb.ret(Some(p));
-        let id = m.add_function(cb.finish());
-        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
-        let x = b.alloca(Ty::I64);
-        let y = b.alloca(Ty::I64);
-        let rx = b.call(id, vec![x], Ty::ptr(Ty::I64));
-        let ry = b.call(id, vec![y], Ty::ptr(Ty::I64));
-        b.ret(None);
-        let caller = m.add_function(b.finish());
-        (m, id, caller, x, y, rx, ry)
-    }
-
-    #[test]
-    fn ctx_sensitive_params_split_per_callsite() {
-        let (m, id, caller, x, y, rx, ry) = two_caller_module();
-        let base = PointsTo::analyze(&m);
-        let ctx = CtxPointsTo::analyze(&m, &base);
-        assert!(!ctx.is_fallback());
-        let pf = m.func(id).arg(0);
-        // Insensitive: one summary conflates both callers' allocas.
-        assert_eq!(base.points_to(id, pf).objects.len(), 2);
-        assert_eq!(base.points_to(caller, rx).objects.len(), 2);
-        // 1-CFA: one context per callsite, each seeing only its argument.
-        assert_eq!(ctx.num_contexts_of(id), 2);
-        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
-        let yo = *base.points_to(caller, y).objects.iter().next().unwrap();
-        for ci in 0..2 {
-            let (cf, site) = ctx.ctx_callsite(id, ci).expect("non-root context");
-            assert_eq!(cf, caller);
-            assert!(site == rx || site == ry);
-            let pts = ctx.points_to_in(id, ci, pf).unwrap();
-            let want = if site == rx { xo } else { yo };
-            assert_eq!(pts.objects.iter().copied().collect::<Vec<_>>(), vec![want]);
-        }
-        // The call results in the caller's (root) context also split.
-        let root = 0;
-        assert_eq!(ctx.num_contexts_of(caller), 1);
-        assert_eq!(
-            ctx.points_to_in(caller, root, rx)
-                .unwrap()
-                .objects
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![xo]
-        );
-        // Projection over all contexts refines the insensitive relation.
-        let proj = ctx.projected(id, pf).unwrap();
-        assert!(proj.objects.is_subset(&base.points_to(id, pf).objects));
-    }
-
-    #[test]
-    fn ctx_recursive_scc_collapses_and_stays_sound() {
-        let mut m = Module::new("m");
-        // rec(p) { rec(p); return p; } — a one-function SCC. The FuncId is
-        // predictable: first function added to the module.
-        let rec_id = FuncId(0);
-        let mut cb = FunctionBuilder::new("rec", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
-        let p = cb.func().arg(0);
-        let _inner = cb.call(rec_id, vec![p], Ty::ptr(Ty::I64));
-        cb.ret(Some(p));
-        assert_eq!(m.add_function(cb.finish()), rec_id);
-        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
-        let x = b.alloca(Ty::I64);
-        let y = b.alloca(Ty::I64);
-        let rx = b.call(rec_id, vec![x], Ty::ptr(Ty::I64));
-        let _ry = b.call(rec_id, vec![y], Ty::ptr(Ty::I64));
-        b.ret(None);
-        let caller = m.add_function(b.finish());
-        let base = PointsTo::analyze(&m);
-        let ctx = CtxPointsTo::analyze(&m, &base);
-        // The recursive self-call inherits its caller's context instead of
-        // spawning new ones: exactly the two external sites remain.
-        assert!(!ctx.is_fallback());
-        assert_eq!(ctx.num_contexts_of(rec_id), 2);
-        // Still sound (⊆ insensitive) and still precise per context.
-        let proj = ctx.projected(rec_id, p).unwrap();
-        assert!(proj.objects.is_subset(&base.points_to(rec_id, p).objects));
-        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
-        assert_eq!(
-            ctx.points_to_in(caller, 0, rx)
-                .unwrap()
-                .objects
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![xo]
-        );
-    }
-
-    #[test]
-    fn ctx_budget_exhaustion_falls_back_to_insensitive() {
-        let (m, id, _, _, _, _, _) = two_caller_module();
-        let base = PointsTo::analyze(&m);
-        let ctx = CtxPointsTo::analyze_with_budget(&m, &base, 1);
-        assert!(ctx.is_fallback());
-        assert!(ctx.stats().fallback);
-        assert_eq!(ctx.num_contexts_of(id), 1);
-        assert!(ctx.points_to_in(id, 0, m.func(id).arg(0)).is_none());
-        assert!(ctx.projected(id, m.func(id).arg(0)).is_none());
-        assert!(ctx.ctx_callsite(id, 0).is_none());
     }
 }

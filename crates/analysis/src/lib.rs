@@ -73,9 +73,7 @@ pub mod slicing;
 pub mod summary;
 pub mod vulnerability;
 
-pub use alias::{
-    CtxPointsTo, CtxStats, MemObjectKind, ObjId, ObjSet, PointsTo, Precision, CTX_NODE_BUDGET,
-};
+pub use alias::{CtxStats, MemObjectKind, ObjId, ObjSet, PointsTo, Precision, CTX_NODE_BUDGET};
 pub use callgraph::CallGraph;
 pub use cfg::{
     back_edges, control_dependence, loop_depths, reverse_postorder, Dominators, PostDominators,
@@ -87,7 +85,7 @@ pub use interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval,
 pub use liveness::{Liveness, ReachingStores};
 pub use reach::OverflowReach;
 pub use slicing::{BackwardSlice, ForwardSlice, SliceContext, SliceMode};
-pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, SummaryPointsTo};
+pub use summary::{opt02_equivalence, CtxPolicy, SummaryPointsTo};
 pub use vulnerability::{
     BranchInfo, HeapVuln, IcEffect, PrunedObligations, StackVuln, VulnerabilityReport,
 };

@@ -76,17 +76,17 @@ pub struct OverflowReach {
     /// Calling contexts the context-sensitive points-to layer explored.
     pub contexts: usize,
     /// Whether the context-sensitive solve fell back to the insensitive
-    /// relation (node budget exhausted or object-remap divergence).
+    /// relation (node budget exhausted, or the insensitive policy).
     pub ctx_fallback: bool,
     /// Reporting label of the context policy that actually ran
     /// (`"insensitive"` whenever the solve fell back, whatever was
     /// requested).
     pub policy: &'static str,
     /// Distinct per-function summaries the summary solver gathered (0
-    /// for the clone/insensitive engines).
+    /// on fallback).
     pub summaries: usize,
     /// Call-edge instantiations served by an already-instantiated
-    /// summary instead of a fresh constraint-graph clone.
+    /// summary instead of a fresh instantiation.
     pub summary_reuse: usize,
     /// Store instructions dropped by flow-sensitive strong updates.
     pub strong_updates: usize,

@@ -13,7 +13,7 @@
 //!   and hence the branch — unprotected.
 
 use crate::alias::{ObjId, PointsTo, Precision};
-use crate::summary::CtxSolve;
+use crate::summary::{CtxPolicy, SummaryPointsTo};
 use crate::channels::{IcSite, InputChannels};
 use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, ValueId, ValueKind};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -200,10 +200,10 @@ pub struct SliceContext<'m> {
     /// Memo-table misses (full traversals performed).
     memo_misses: AtomicU64,
     /// Lazily computed context-sensitive points-to layer over
-    /// [`Self::points_to`] (policy-selectable: clone 1-CFA, summary
-    /// k-CFA, or object sensitivity). Only the overflow-reachability
-    /// pruner pays for it, on first use.
-    ctx1: OnceLock<CtxSolve>,
+    /// [`Self::points_to`] (policy-selectable: k-CFA or object
+    /// sensitivity). Only the overflow-reachability pruner pays for it,
+    /// on first use.
+    ctx1: OnceLock<SummaryPointsTo>,
 }
 
 /// The context is shared by reference across evaluation worker threads.
@@ -265,15 +265,15 @@ impl<'m> SliceContext<'m> {
 
     /// The context-sensitive points-to layer over the field-sensitive
     /// relation, computed once per context on first use (and shared by
-    /// concurrent readers). The engine is selected by
+    /// concurrent readers). The policy is selected by
     /// `PYTHIA_CTX_POLICY` (default: summary-based 2-CFA) within the
     /// `PYTHIA_CTX_BUDGET` node budget (`0` forces the insensitive
     /// relation — `scripts/bench.sh` uses it for the per-policy trend
     /// line). On fallback its queries return `None` and callers use
     /// [`Self::points_to`] — always a sound superset.
-    pub fn ctx_points_to(&self) -> &CtxSolve {
+    pub fn ctx_points_to(&self) -> &SummaryPointsTo {
         self.ctx1
-            .get_or_init(|| CtxSolve::from_env(self.module, &self.points_to))
+            .get_or_init(|| SummaryPointsTo::from_env(self.module, &self.points_to))
     }
 
     /// Pre-seed the context-sensitive layer with an explicit policy and
@@ -281,10 +281,13 @@ impl<'m> SliceContext<'m> {
     /// already initialised (first writer wins). Policy-comparison
     /// experiments use this to solve the same module under several
     /// policies without mutating process-global state.
-    pub fn set_ctx_policy(&self, policy: crate::summary::CtxPolicy, budget: usize) {
-        let _ = self
-            .ctx1
-            .set(CtxSolve::analyze(self.module, &self.points_to, policy, budget));
+    pub fn set_ctx_policy(&self, policy: CtxPolicy, budget: usize) {
+        let _ = self.ctx1.set(SummaryPointsTo::analyze(
+            self.module,
+            &self.points_to,
+            policy,
+            budget,
+        ));
     }
 
     /// Def-use chains of `fid`, computed once per context and shared by

@@ -1,37 +1,35 @@
-//! Summary-based k-CFA points-to solving with flow-sensitive strong
-//! updates — the precision tier above the clone-based 1-CFA in
-//! [`crate::alias`].
+//! Summary-based context-sensitive points-to solving with flow-sensitive
+//! strong updates — the one context-sensitive layer over the insensitive
+//! relation in [`crate::alias`].
 //!
 //! # Why summaries
 //!
-//! The clone-based [`CtxPointsTo`] materializes one full Andersen node
-//! space per `(function, context)` pair and solves the whole clone set
-//! with a global round-robin pass. That is simple and sound, but the
-//! cost is `cloned_nodes` — every extra context re-pays the entire
-//! constraint graph, which is what makes k=2 unaffordable on bigger
-//! modules. The summary solver instead gathers each function's
-//! context-agnostic constraint list **once** (`LocalConstraint` in
-//! `alias.rs` — shared verbatim with the clone builder, so the
-//! per-instruction semantics are identical by construction) and
-//! *instantiates* it per context on demand: a callsite composes the
-//! caller's facts with the callee's parameterized summary instead of
-//! cloning the callee's constraint graph. Bottom-up SCC order (from
-//! [`CallGraph::sccs`]) seeds the worklist so most summaries converge
-//! in one pass; re-enqueue registries (object readers, return watchers)
-//! make the fixpoint demand-driven rather than global.
+//! Cloning every function per calling context re-pays the whole
+//! constraint graph for each extra context, which is what makes k=2
+//! unaffordable on bigger modules. The summary solver instead gathers
+//! each function's context-agnostic constraint list **once**
+//! (`LocalConstraint` in `alias.rs` — shared verbatim with the
+//! insensitive builder, so the per-instruction semantics are identical
+//! by construction) and *instantiates* it per context on demand: a
+//! callsite composes the caller's facts with the callee's parameterized
+//! summary instead of cloning the callee's constraint graph. Bottom-up
+//! SCC order (from [`CallGraph::sccs`]) seeds the worklist so most
+//! summaries converge in one pass; re-enqueue registries (object
+//! readers, return watchers) make the fixpoint demand-driven rather than
+//! global.
 //!
 //! # Context policies
 //!
 //! [`CtxPolicy`] selects the context abstraction:
 //!
 //! - `KCfa(k)`: call-string suffixes of length ≤ k, with callgraph-SCC
-//!   collapse (an intra-SCC call inherits its caller's chain — the same
-//!   collapse that keeps the clone-based 1-CFA finite).
+//!   collapse (an intra-SCC call inherits its caller's chain, which keeps
+//!   the context set finite). `KCfa(1)` is 1-CFA: one context per
+//!   inter-SCC callsite.
 //! - `ObjSensitive`: depth-1 object sensitivity — the context of a call
 //!   is the abstract object its first pointer argument points to,
 //!   falling back to the callsite when no argument has pointees.
-//! - `OneCfaClone` / `Insensitive`: the existing engines, selectable so
-//!   trend lines can compare policies on identical plumbing.
+//! - `Insensitive`: no contexts; the solve is born fallen back.
 //!
 //! All policies share the sound fall-back contract: if the planned node
 //! space exceeds the budget, queries return `None` and callers use the
@@ -56,8 +54,8 @@
 //! solving strategies, not the kill heuristic.
 
 use crate::alias::{
-    collect_address_taken, gather_function, CtxPointsTo, CtxStats, LocalConstraint, MemObjectKind,
-    ObjId, ObjSet, PointsTo, CTX_NODE_BUDGET,
+    collect_address_taken, gather_function, CtxStats, LocalConstraint, MemObjectKind, ObjId,
+    ObjSet, PointsTo, CTX_NODE_BUDGET,
 };
 use crate::callgraph::CallGraph;
 use crate::liveness::ReachingStores;
@@ -69,9 +67,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 pub enum CtxPolicy {
     /// No contexts: the insensitive base relation only.
     Insensitive,
-    /// The clone-based 1-CFA engine from `alias.rs` (one context per
-    /// inter-SCC callsite, whole-graph clones).
-    OneCfaClone,
     /// Summary-based k-CFA: call-string suffixes of length ≤ k.
     KCfa(usize),
     /// Summary-based depth-1 object sensitivity.
@@ -79,45 +74,71 @@ pub enum CtxPolicy {
 }
 
 impl CtxPolicy {
+    /// 1-CFA. Once the name of a separate clone-based engine; kept as an
+    /// alias of `KCfa(1)` so existing callers compile unchanged.
+    #[allow(non_upper_case_globals)]
+    pub const OneCfaClone: CtxPolicy = CtxPolicy::KCfa(1);
+
+    /// The policies `PYTHIA_CTX_POLICY` can select, by [`Self::name`].
+    pub const SELECTABLE: [CtxPolicy; 4] = [
+        CtxPolicy::Insensitive,
+        CtxPolicy::KCfa(1),
+        CtxPolicy::KCfa(2),
+        CtxPolicy::ObjSensitive,
+    ];
+
+    /// Parse a `PYTHIA_CTX_POLICY` value: a [`Self::name`] of one of
+    /// [`Self::SELECTABLE`], or `2cfa` for the default `summary-2cfa`.
+    /// The error lists the valid spellings.
+    pub fn parse(s: &str) -> Result<CtxPolicy, String> {
+        let s = s.trim();
+        if s == "2cfa" {
+            return Ok(CtxPolicy::KCfa(2));
+        }
+        Self::SELECTABLE
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::SELECTABLE.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown PYTHIA_CTX_POLICY `{s}` (expected one of: {}, 2cfa)",
+                    names.join(", ")
+                )
+            })
+    }
+
     /// Resolve the policy and node budget from the environment:
-    /// `PYTHIA_CTX_POLICY` ∈ {`insensitive`, `1cfa`, `1cfa-summary`,
-    /// `2cfa` (default), `3cfa`, `4cfa`, `objsens`} and
-    /// `PYTHIA_CTX_BUDGET` (defaults to [`CTX_NODE_BUDGET`]).
+    /// `PYTHIA_CTX_POLICY` (see [`Self::parse`]; default `summary-2cfa`)
+    /// and `PYTHIA_CTX_BUDGET` (default [`CTX_NODE_BUDGET`]). An
+    /// unparseable value of either is an error, never a silent default.
     /// `PYTHIA_CTX_BUDGET=0` forces the insensitive relation regardless
     /// of the requested policy — and reporting surfaces must then label
     /// the run `insensitive`, not the requested name.
-    pub fn from_env() -> (CtxPolicy, usize) {
+    pub fn from_env() -> Result<(CtxPolicy, usize), String> {
         let budget = match std::env::var("PYTHIA_CTX_BUDGET") {
-            Ok(s) => s.trim().parse::<usize>().unwrap_or(CTX_NODE_BUDGET),
+            Ok(s) => s.trim().parse::<usize>().map_err(|_| {
+                format!("bad PYTHIA_CTX_BUDGET `{s}` (expected a node count; 0 forces insensitive)")
+            })?,
             Err(_) => CTX_NODE_BUDGET,
         };
-        if budget == 0 {
-            return (CtxPolicy::Insensitive, 0);
-        }
-        let policy = match std::env::var("PYTHIA_CTX_POLICY").as_deref().map(str::trim) {
-            Ok("insensitive") => CtxPolicy::Insensitive,
-            Ok("1cfa") => CtxPolicy::OneCfaClone,
-            Ok("1cfa-summary") | Ok("summary-1cfa") => CtxPolicy::KCfa(1),
-            Ok("2cfa") | Ok("summary-2cfa") => CtxPolicy::KCfa(2),
-            Ok("3cfa") => CtxPolicy::KCfa(3),
-            Ok("4cfa") => CtxPolicy::KCfa(4),
-            Ok("objsens") => CtxPolicy::ObjSensitive,
-            _ => CtxPolicy::KCfa(2),
+        let policy = match std::env::var("PYTHIA_CTX_POLICY") {
+            Ok(s) => Self::parse(&s)?,
+            Err(_) => CtxPolicy::KCfa(2),
         };
-        (policy, budget)
+        if budget == 0 {
+            return Ok((CtxPolicy::Insensitive, 0));
+        }
+        Ok((policy, budget))
     }
 
     /// Canonical reporting name of the *requested* policy. Callers that
     /// fell back must report `"insensitive"` instead (see
-    /// [`CtxSolve::policy_name`]).
+    /// [`SummaryPointsTo::policy_name`]).
     pub fn name(&self) -> &'static str {
         match self {
             CtxPolicy::Insensitive => "insensitive",
-            CtxPolicy::OneCfaClone => "1cfa",
-            CtxPolicy::KCfa(1) => "summary-1cfa",
+            CtxPolicy::KCfa(1) => "1cfa",
             CtxPolicy::KCfa(2) => "summary-2cfa",
-            CtxPolicy::KCfa(3) => "summary-3cfa",
-            CtxPolicy::KCfa(4) => "summary-4cfa",
             CtxPolicy::KCfa(_) => "summary-kcfa",
             CtxPolicy::ObjSensitive => "objsens",
         }
@@ -208,7 +229,7 @@ impl KPlan {
         let k = match policy {
             CtxPolicy::KCfa(k) => k.max(1),
             CtxPolicy::ObjSensitive => 1,
-            _ => return None,
+            CtxPolicy::Insensitive => return None,
         };
         let cg = CallGraph::build(m);
         let sccs = cg.sccs();
@@ -500,7 +521,7 @@ struct SolveState<'a> {
     /// base relation's object ids.
     value_pts: Vec<ObjSet>,
     /// Memory pointee sets per base object (context-insensitive heap
-    /// abstraction, like the clone engine's).
+    /// abstraction).
     mem: Vec<ObjSet>,
     /// Flat instance index → `(function, ctx)`.
     inst_of: Vec<(FuncId, usize)>,
@@ -817,12 +838,13 @@ struct SummaryData {
 /// insensitive base [`PointsTo`]. Speaks the base relation's [`ObjId`]s
 /// directly (no remapping — object identities come from the base via
 /// `obj_id`/`resolve_field`), so clients can mix per-context value sets
-/// with base object metadata exactly like with [`CtxPointsTo`]. On
-/// fallback the queries return `None` and callers must use the base
-/// relation, which is always a sound superset.
+/// with base object metadata. On fallback the queries return `None` and
+/// callers must use the base relation, which is always a sound superset.
 #[derive(Debug, Clone)]
 pub struct SummaryPointsTo {
     data: Option<SummaryData>,
+    /// The requested policy, for [`Self::policy_name`].
+    policy: CtxPolicy,
     stats: CtxStats,
     summaries: usize,
     summary_reuse: usize,
@@ -832,12 +854,13 @@ pub struct SummaryPointsTo {
 impl SummaryPointsTo {
     /// Run the summary solve for `policy` within `budget` value nodes.
     /// `base` must be the field-sensitive relation of the same module.
+    /// `Insensitive` (and any plan over budget) yields the fallback.
     pub fn analyze(m: &Module, base: &PointsTo, policy: CtxPolicy, budget: usize) -> Self {
         let fallback = || SummaryPointsTo {
             data: None,
+            policy,
             stats: CtxStats {
                 contexts: m.functions().len(),
-                cloned_nodes: 0,
                 fallback: true,
             },
             summaries: 0,
@@ -857,8 +880,7 @@ impl SummaryPointsTo {
         drop(st);
         // Composition-reuse accounting: every call-edge instantiation
         // binds a target summary instance; each binding beyond an
-        // instance's first is a summary the clone engine would have
-        // re-cloned.
+        // instance's first reuses a summary instead of cloning it.
         let mut edges = 0usize;
         let mut bound: BTreeSet<u32> = BTreeSet::new();
         let mut inst_base = vec![0u32; m.functions().len()];
@@ -894,16 +916,34 @@ impl SummaryPointsTo {
         }
         let stats = CtxStats {
             contexts: plan.chains.iter().map(Vec::len).sum(),
-            cloned_nodes: plan.total,
             fallback: false,
         };
         SummaryPointsTo {
+            policy,
             summaries: m.functions().len(),
             summary_reuse: edges.saturating_sub(bound.len()),
             strong_updates,
             data: Some(SummaryData { plan, value_pts }),
             stats,
         }
+    }
+
+    /// Solve under the environment-selected policy and budget
+    /// ([`CtxPolicy::from_env`]). Panics on an invalid value: binaries
+    /// validate the environment at startup, before any solve runs.
+    pub fn from_env(m: &Module, base: &PointsTo) -> Self {
+        let (policy, budget) = CtxPolicy::from_env().unwrap_or_else(|e| panic!("{e}"));
+        Self::analyze(m, base, policy, budget)
+    }
+
+    /// The reporting label of this solve: the requested policy's name,
+    /// except a fallen-back run always reports `"insensitive"` so trend
+    /// lines never compare mislabeled rows.
+    pub fn policy_name(&self) -> &'static str {
+        if self.is_fallback() {
+            return "insensitive";
+        }
+        self.policy.name()
     }
 
     /// Whether the solve degraded to the insensitive relation.
@@ -922,7 +962,7 @@ impl SummaryPointsTo {
     }
 
     /// Call-edge instantiations served by an already-instantiated
-    /// summary instead of a fresh constraint-graph clone.
+    /// summary instead of a fresh instantiation.
     pub fn summary_reuse(&self) -> usize {
         self.summary_reuse
     }
@@ -986,7 +1026,7 @@ impl SummaryPointsTo {
 /// per-context round-robin reference — and compare every value node and
 /// memory cell. `Some(true)` means the composed summaries equal the
 /// direct solve; `None` means the module is not summary-solvable at
-/// this policy/budget (non-summary policy, or the plan exceeds the
+/// this policy/budget (the insensitive policy, or the plan exceeds the
 /// budget) and the check does not apply.
 ///
 /// `mutation` seeds a deliberate fault for meta-testing the check
@@ -1015,146 +1055,6 @@ pub fn opt02_equivalence(
     let mut rr = SolveState::new(m, base, &plan, &locals, full);
     rr.run_round_robin();
     Some(wl.value_pts == rr.value_pts && wl.mem == rr.mem)
-}
-
-#[derive(Debug, Clone)]
-enum Engine {
-    Clone(CtxPointsTo),
-    Summary(SummaryPointsTo),
-}
-
-/// Policy-selectable context-sensitive points-to facade: one type the
-/// rest of the pipeline queries, backed by either the clone-based 1-CFA
-/// engine or the summary-based k-CFA/object-sensitive solver. All
-/// engines share the fall-back contract (queries return `None`, callers
-/// use the insensitive base) and the reporting rule that a fallen-back
-/// run labels itself `"insensitive"` whatever was requested.
-#[derive(Debug, Clone)]
-pub struct CtxSolve {
-    engine: Engine,
-    requested: CtxPolicy,
-}
-
-impl CtxSolve {
-    /// Solve `m` under `policy` within `budget` value nodes.
-    pub fn analyze(m: &Module, base: &PointsTo, policy: CtxPolicy, budget: usize) -> Self {
-        let engine = match policy {
-            CtxPolicy::Insensitive => Engine::Clone(CtxPointsTo::insensitive(m)),
-            CtxPolicy::OneCfaClone => {
-                Engine::Clone(CtxPointsTo::analyze_with_budget(m, base, budget))
-            }
-            CtxPolicy::KCfa(_) | CtxPolicy::ObjSensitive => {
-                Engine::Summary(SummaryPointsTo::analyze(m, base, policy, budget))
-            }
-        };
-        CtxSolve {
-            engine,
-            requested: policy,
-        }
-    }
-
-    /// Solve under the environment-selected policy and budget
-    /// ([`CtxPolicy::from_env`]).
-    pub fn from_env(m: &Module, base: &PointsTo) -> Self {
-        let (policy, budget) = CtxPolicy::from_env();
-        Self::analyze(m, base, policy, budget)
-    }
-
-    /// The reporting label of this solve: the requested policy's name,
-    /// except a fallen-back run always reports `"insensitive"` so trend
-    /// lines never compare mislabeled rows.
-    pub fn policy_name(&self) -> &'static str {
-        if self.is_fallback() {
-            return "insensitive";
-        }
-        self.requested.name()
-    }
-
-    /// Whether the solve degraded to the insensitive relation.
-    pub fn is_fallback(&self) -> bool {
-        match &self.engine {
-            Engine::Clone(c) => c.is_fallback(),
-            Engine::Summary(s) => s.is_fallback(),
-        }
-    }
-
-    /// Solver counters for profiling surfaces.
-    pub fn stats(&self) -> CtxStats {
-        match &self.engine {
-            Engine::Clone(c) => c.stats(),
-            Engine::Summary(s) => s.stats(),
-        }
-    }
-
-    /// Distinct per-function summaries gathered (0 for clone engines).
-    pub fn summaries(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.summaries(),
-        }
-    }
-
-    /// Call-edge instantiations served by an existing summary instance
-    /// (0 for clone engines).
-    pub fn summary_reuse(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.summary_reuse(),
-        }
-    }
-
-    /// Stores dropped by flow-sensitive strong updates (0 for clone
-    /// engines — only the summary solver kills).
-    pub fn strong_updates(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.strong_updates(),
-        }
-    }
-
-    /// Number of calling contexts of `f` (1 on fallback).
-    pub fn num_contexts_of(&self, f: FuncId) -> usize {
-        match &self.engine {
-            Engine::Clone(c) => c.num_contexts_of(f),
-            Engine::Summary(s) => s.num_contexts_of(f),
-        }
-    }
-
-    /// Points-to set of `v` in context `ctx` of `f`, in base object ids;
-    /// `None` on fallback.
-    pub fn points_to_in(&self, f: FuncId, ctx: usize, v: ValueId) -> Option<&ObjSet> {
-        match &self.engine {
-            Engine::Clone(c) => c.points_to_in(f, ctx, v),
-            Engine::Summary(s) => s.points_to_in(f, ctx, v),
-        }
-    }
-
-    /// The innermost callsite selecting context `ctx` of `f`; `None` for
-    /// root/object contexts or on fallback.
-    pub fn ctx_callsite(&self, f: FuncId, ctx: usize) -> Option<(FuncId, ValueId)> {
-        match &self.engine {
-            Engine::Clone(c) => c.ctx_callsite(f, ctx),
-            Engine::Summary(s) => s.ctx_callsite(f, ctx),
-        }
-    }
-
-    /// The callsite chain of context `ctx` of `f`, innermost first (at
-    /// most one element for the clone engine).
-    pub fn ctx_chain(&self, f: FuncId, ctx: usize) -> Vec<(FuncId, ValueId)> {
-        match &self.engine {
-            Engine::Clone(c) => c.ctx_callsite(f, ctx).into_iter().collect(),
-            Engine::Summary(s) => s.ctx_chain(f, ctx),
-        }
-    }
-
-    /// Context-insensitive projection of `v`'s per-context sets; `None`
-    /// on fallback.
-    pub fn projected(&self, f: FuncId, v: ValueId) -> Option<ObjSet> {
-        match &self.engine {
-            Engine::Clone(c) => c.projected(f, v),
-            Engine::Summary(s) => s.projected(f, v),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1207,10 +1107,11 @@ mod tests {
         let o2 = *base.points_to(f2, a2).objects.iter().next().unwrap();
         assert_ne!(o1, o2);
 
-        // The clone-based 1-CFA conflates: h has one context, so the
-        // return value mixes both allocas.
-        let c1 = CtxPointsTo::analyze(&m, &base);
+        // 1-CFA conflates: h has one context, so the return value mixes
+        // both allocas.
+        let c1 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
         assert!(!c1.is_fallback());
+        assert_eq!(c1.num_contexts_of(FuncId(0)), 1);
         let p1 = c1.projected(f1, r1).unwrap();
         assert!(p1.objects.contains(&o1) && p1.objects.contains(&o2));
 
@@ -1378,9 +1279,13 @@ mod tests {
             Some(false),
             "a skipped summary kill must be caught"
         );
-        // Non-summary policies: the check does not apply.
         assert_eq!(
-            opt02_equivalence(&m, &base, CtxPolicy::OneCfaClone, CTX_NODE_BUDGET, None),
+            opt02_equivalence(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET, None),
+            Some(true)
+        );
+        // No contexts to compose: the check does not apply.
+        assert_eq!(
+            opt02_equivalence(&m, &base, CtxPolicy::Insensitive, CTX_NODE_BUDGET, None),
             None
         );
     }
@@ -1403,12 +1308,12 @@ mod tests {
     fn budget_exhaustion_reports_insensitive() {
         let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2), 1);
+        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), 1);
         assert!(s.is_fallback());
         assert_eq!(s.policy_name(), "insensitive");
         assert!(s.points_to_in(FuncId(0), 0, ValueId(0)).is_none());
         // At full budget the same request reports its own name.
-        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
         assert_eq!(s.policy_name(), "summary-2cfa");
         assert!(!s.is_fallback());
     }
@@ -1452,5 +1357,136 @@ mod tests {
         sites.sort_unstable();
         assert_eq!(sites, vec![2, 2], "each chain carries both callsites");
         let _ = f1;
+    }
+
+    #[test]
+    fn every_policy_name_parses_back_and_unknown_spellings_are_rejected() {
+        for p in CtxPolicy::SELECTABLE {
+            assert_eq!(CtxPolicy::parse(p.name()), Ok(p));
+        }
+        assert_eq!(CtxPolicy::parse("2cfa"), Ok(CtxPolicy::KCfa(2)));
+        assert_eq!(CtxPolicy::OneCfaClone.name(), "1cfa");
+        for bad in ["bogus", "3cfa", "summary-1cfa", "1cfa-summary", ""] {
+            let err = CtxPolicy::parse(bad).unwrap_err();
+            assert!(
+                err.contains("insensitive, 1cfa, summary-2cfa, objsens"),
+                "{err}"
+            );
+        }
+    }
+
+    /// callee `id(p) = p` called from two sites with distinct allocas.
+    fn two_caller_module() -> (Module, FuncId, FuncId, ValueId, ValueId, ValueId, ValueId) {
+        let mut m = Module::new("m");
+        let mut cb = FunctionBuilder::new("id", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
+        let p = cb.func().arg(0);
+        cb.ret(Some(p));
+        let id = m.add_function(cb.finish());
+        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
+        let x = b.alloca(Ty::I64);
+        let y = b.alloca(Ty::I64);
+        let rx = b.call(id, vec![x], Ty::ptr(Ty::I64));
+        let ry = b.call(id, vec![y], Ty::ptr(Ty::I64));
+        b.ret(None);
+        let caller = m.add_function(b.finish());
+        (m, id, caller, x, y, rx, ry)
+    }
+
+    #[test]
+    fn one_cfa_params_split_per_callsite() {
+        let (m, id, caller, x, y, rx, ry) = two_caller_module();
+        let base = PointsTo::analyze(&m);
+        let ctx = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
+        assert!(!ctx.is_fallback());
+        assert_eq!(ctx.policy_name(), "1cfa");
+        let pf = m.func(id).arg(0);
+        // Insensitive: one summary conflates both callers' allocas.
+        assert_eq!(base.points_to(id, pf).objects.len(), 2);
+        assert_eq!(base.points_to(caller, rx).objects.len(), 2);
+        // 1-CFA: one context per callsite, each seeing only its argument.
+        assert_eq!(ctx.num_contexts_of(id), 2);
+        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
+        let yo = *base.points_to(caller, y).objects.iter().next().unwrap();
+        for ci in 0..2 {
+            let (cf, site) = ctx.ctx_callsite(id, ci).expect("non-root context");
+            assert_eq!(cf, caller);
+            assert!(site == rx || site == ry);
+            assert_eq!(ctx.ctx_chain(id, ci), vec![(cf, site)]);
+            let pts = ctx.points_to_in(id, ci, pf).unwrap();
+            let want = if site == rx { xo } else { yo };
+            assert_eq!(pts.objects.iter().copied().collect::<Vec<_>>(), vec![want]);
+        }
+        // The call results in the caller's (root) context also split.
+        let root = 0;
+        assert_eq!(ctx.num_contexts_of(caller), 1);
+        assert_eq!(
+            ctx.points_to_in(caller, root, rx)
+                .unwrap()
+                .objects
+                .iter()
+                .copied()
+                .collect::<Vec<_>>(),
+            vec![xo]
+        );
+        // Projection over all contexts refines the insensitive relation.
+        let proj = ctx.projected(id, pf).unwrap();
+        assert!(proj.objects.is_subset(&base.points_to(id, pf).objects));
+    }
+
+    #[test]
+    fn one_cfa_recursive_scc_collapses_and_stays_sound() {
+        let mut m = Module::new("m");
+        // rec(p) { rec(p); return p; } — a one-function SCC. The FuncId is
+        // predictable: first function added to the module.
+        let rec_id = FuncId(0);
+        let mut cb = FunctionBuilder::new("rec", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
+        let p = cb.func().arg(0);
+        let _inner = cb.call(rec_id, vec![p], Ty::ptr(Ty::I64));
+        cb.ret(Some(p));
+        assert_eq!(m.add_function(cb.finish()), rec_id);
+        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
+        let x = b.alloca(Ty::I64);
+        let y = b.alloca(Ty::I64);
+        let rx = b.call(rec_id, vec![x], Ty::ptr(Ty::I64));
+        let _ry = b.call(rec_id, vec![y], Ty::ptr(Ty::I64));
+        b.ret(None);
+        let caller = m.add_function(b.finish());
+        let base = PointsTo::analyze(&m);
+        let ctx = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
+        // The recursive self-call inherits its caller's context instead of
+        // spawning new ones: exactly the two external sites remain.
+        assert!(!ctx.is_fallback());
+        assert_eq!(ctx.num_contexts_of(rec_id), 2);
+        // Still sound (⊆ insensitive) and still precise per context.
+        let proj = ctx.projected(rec_id, p).unwrap();
+        assert!(proj.objects.is_subset(&base.points_to(rec_id, p).objects));
+        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
+        assert_eq!(
+            ctx.points_to_in(caller, 0, rx)
+                .unwrap()
+                .objects
+                .iter()
+                .copied()
+                .collect::<Vec<_>>(),
+            vec![xo]
+        );
+    }
+
+    #[test]
+    fn one_cfa_budget_exhaustion_falls_back_to_insensitive() {
+        let (m, id, _, _, _, _, _) = two_caller_module();
+        let base = PointsTo::analyze(&m);
+        let ctx = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), 1);
+        assert!(ctx.is_fallback());
+        assert!(ctx.stats().fallback);
+        assert_eq!(ctx.policy_name(), "insensitive");
+        assert_eq!(ctx.num_contexts_of(id), 1);
+        assert!(ctx.points_to_in(id, 0, m.func(id).arg(0)).is_none());
+        assert!(ctx.projected(id, m.func(id).arg(0)).is_none());
+        assert!(ctx.ctx_callsite(id, 0).is_none());
+        // The insensitive policy is the same fallback at any budget.
+        let ins = SummaryPointsTo::analyze(&m, &base, CtxPolicy::Insensitive, CTX_NODE_BUDGET);
+        assert!(ins.is_fallback());
+        assert_eq!(ins.stats().contexts, m.functions().len());
     }
 }

@@ -1,9 +1,9 @@
-//! Context-policy solver benchmarks: the insensitive base, the cloning
-//! 1-CFA layer, and the summary-based 2-CFA solver over the gcc profile
-//! and a short nginx event-loop module.
+//! Context-policy solver benchmarks: the insensitive fallback and the
+//! summary-based 2-CFA solver over the gcc profile and a short nginx
+//! event-loop module.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pythia_analysis::{CtxPolicy, CtxSolve, PointsTo, CTX_NODE_BUDGET};
+use pythia_analysis::{CtxPolicy, PointsTo, SummaryPointsTo, CTX_NODE_BUDGET};
 use pythia_workloads::{generate, nginx_module, profile_by_name};
 
 fn bench_alias(c: &mut Criterion) {
@@ -13,7 +13,6 @@ fn bench_alias(c: &mut Criterion) {
     ];
     let policies = [
         ("insensitive", CtxPolicy::Insensitive),
-        ("1cfa_clone", CtxPolicy::OneCfaClone),
         ("summary_2cfa", CtxPolicy::KCfa(2)),
     ];
 
@@ -22,7 +21,12 @@ fn bench_alias(c: &mut Criterion) {
         for (pname, policy) in policies {
             c.bench_function(&format!("alias/{pname}_{mname}"), |b| {
                 b.iter(|| {
-                    std::hint::black_box(CtxSolve::analyze(m, &base, policy, CTX_NODE_BUDGET))
+                    std::hint::black_box(SummaryPointsTo::analyze(
+                        m,
+                        &base,
+                        policy,
+                        CTX_NODE_BUDGET,
+                    ))
                 })
             });
         }

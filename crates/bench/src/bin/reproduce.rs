@@ -57,6 +57,10 @@
 //! and skips the sections that need the full suite — a CI-speed health
 //! check, used by `scripts/check.sh`.
 //!
+//! `PYTHIA_CTX_POLICY` / `PYTHIA_CTX_BUDGET` select the context-sensitive
+//! points-to policy and its node budget (README); an invalid value of
+//! either exits 2 with the valid spellings before anything runs.
+//!
 //! `--engine <legacy|block>` selects the VM execution engine (default:
 //! the block-cached engine, or whatever `PYTHIA_ENGINE` says). Both
 //! engines are observation-equivalent — `report.md` is byte-identical
@@ -141,6 +145,12 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
 }
 
 fn main() {
+    // A typo'd context policy or budget must not silently run the
+    // default solver: reject it before anything runs.
+    if let Err(e) = pythia_analysis::CtxPolicy::from_env() {
+        eprintln!("reproduce: {e}");
+        std::process::exit(2);
+    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--out <dir>` writes the report to <dir>/report.md instead of stdout.
     let mut out_dir: Option<String> = None;

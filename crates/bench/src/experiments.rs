@@ -1,7 +1,7 @@
 //! One function per paper table/figure (see DESIGN.md §4 for the index).
 //!
-//! Every experiment renders a text section; [`run_all`] stitches them into
-//! the report that EXPERIMENTS.md records. Numbers are *measured* — the
+//! Every experiment renders a text section; [`render_all`] stitches them
+//! into the report that EXPERIMENTS.md records. Numbers are *measured* — the
 //! suite is analyzed, instrumented and executed on the spot.
 
 use crate::table::{frac, pct, Table};
@@ -142,17 +142,23 @@ fn suite_jobs(tier: SizeTier) -> Vec<SuiteJob> {
     jobs
 }
 
+/// The job for a (possibly partial) profile name at `tier`; a name that
+/// matches no profile becomes a [`SuiteJob::Missing`] slot.
+fn profile_job(name: &str, tier: SizeTier) -> SuiteJob {
+    match profile_by_name(name) {
+        Some(p) => SuiteJob::Profile(p.at_tier(tier)),
+        None => SuiteJob::Missing {
+            name: name.to_owned(),
+        },
+    }
+}
+
 /// The reduced smoke set at `tier`: two fast SPEC-like profiles plus a
 /// short nginx run — enough to cross every pipeline layer.
 fn smoke_jobs(tier: SizeTier) -> Vec<SuiteJob> {
     let mut jobs: Vec<SuiteJob> = ["519.lbm_r", "505.mcf_r"]
         .iter()
-        .map(|n| match profile_by_name(n) {
-            Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-            None => SuiteJob::Missing {
-                name: (*n).to_owned(),
-            },
-        })
+        .map(|n| profile_job(n, tier))
         .collect();
     jobs.push(SuiteJob::Nginx {
         requests: tier.scale_volume(10),
@@ -333,69 +339,26 @@ fn run_jobs(jobs: &[SuiteJob], threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry
     out
 }
 
-/// Evaluate the full suite: all 16 SPEC-like benchmarks plus nginx,
-/// concurrently across [`worker_count`] workers.
-pub fn run_suite() -> Vec<SuiteEntry> {
-    run_suite_with(worker_count())
-}
-
-/// [`run_suite`] with an explicit worker count (1 = fully serial).
-pub fn run_suite_with(threads: usize) -> Vec<SuiteEntry> {
-    run_jobs(
-        &suite_jobs(SizeTier::Standard),
-        threads,
-        &VmConfig::default(),
-    )
-}
-
-/// Evaluate a subset of the suite by (possibly partial) profile name,
-/// with an explicit worker count. A name matching no profile yields a
-/// setup-error entry in its slot instead of a panic.
-pub fn run_profiles(names: &[&str], threads: usize) -> Vec<SuiteEntry> {
-    run_profiles_cfg(names, threads, &VmConfig::default())
-}
-
-/// [`run_profiles`] with an explicit [`VmConfig`] — the hook the engine
-/// differential tests use to pin `cfg.engine` without touching the
-/// `PYTHIA_ENGINE` environment variable (tests run concurrently; env
-/// mutation races).
-pub fn run_profiles_cfg(names: &[&str], threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry> {
-    run_profiles_tier_cfg(names, SizeTier::Standard, threads, cfg)
-}
-
-/// [`run_profiles_cfg`] at an explicit [`SizeTier`] — the hook the tier
-/// determinism and bounded-memory tests use.
-pub fn run_profiles_tier_cfg(
+/// Evaluate a subset of the suite by (possibly partial) profile name at
+/// `tier`, on `threads` workers under `cfg`. A name matching no profile
+/// yields a setup-error entry in its slot instead of a panic. Tests pin
+/// `cfg.engine` here instead of mutating `PYTHIA_ENGINE` (tests run
+/// concurrently; env mutation races).
+pub fn run_profiles(
     names: &[&str],
     tier: SizeTier,
     threads: usize,
     cfg: &VmConfig,
 ) -> Vec<SuiteEntry> {
-    let jobs: Vec<SuiteJob> = names
-        .iter()
-        .map(|n| match profile_by_name(n) {
-            Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-            None => SuiteJob::Missing {
-                name: (*n).to_owned(),
-            },
-        })
-        .collect();
+    let jobs: Vec<SuiteJob> = names.iter().map(|n| profile_job(n, tier)).collect();
     run_jobs(&jobs, threads, cfg)
 }
 
 /// Evaluate caller-supplied `(name, module, seed)` triples on the suite
-/// worker pool. The injection point for robustness tests and ad-hoc
-/// suites: entries come back in input order, failures as error entries.
-pub fn evaluate_modules(modules: Vec<(String, Module, u64)>, threads: usize) -> Vec<SuiteEntry> {
-    evaluate_modules_cfg(modules, threads, &VmConfig::default())
-}
-
-/// [`evaluate_modules`] with an explicit [`VmConfig`]. The default-config
-/// wrapper used to hardcode `VmConfig::default()` with no override path,
-/// silently pinning injected modules to the environment-selected engine;
-/// this is the plumbing `reproduce --engine` and the engine regression
-/// tests go through.
-pub fn evaluate_modules_cfg(
+/// worker pool under `cfg`. The injection point for robustness tests and
+/// ad-hoc suites: entries come back in input order, failures as error
+/// entries.
+pub fn evaluate_modules(
     modules: Vec<(String, Module, u64)>,
     threads: usize,
     cfg: &VmConfig,
@@ -405,21 +368,6 @@ pub fn evaluate_modules_cfg(
         .map(|(name, module, seed)| SuiteJob::Module { name, module, seed })
         .collect();
     run_jobs(&jobs, threads, cfg)
-}
-
-/// The reduced smoke suite behind `reproduce --smoke`: two fast SPEC-like
-/// profiles plus a short nginx run — enough to cross every pipeline layer
-/// (generate → analyze → instrument → execute → aggregate) in seconds.
-pub fn run_smoke_with(threads: usize) -> Vec<SuiteEntry> {
-    run_smoke_with_cfg(threads, &VmConfig::default())
-}
-
-/// [`run_smoke_with`] with an explicit [`VmConfig`]. Fixes the smoke
-/// path's engine-selection bypass: the old implementation hardcoded
-/// `VmConfig::default()`, so a caller that had already resolved an engine
-/// or budget override had no way to apply it to smoke runs.
-pub fn run_smoke_with_cfg(threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry> {
-    run_jobs(&smoke_jobs(SizeTier::Standard), threads, cfg)
 }
 
 /// Timing envelope of one suite run (for `BENCH_suite.json`).
@@ -497,10 +445,7 @@ pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
                         seed: NGINX_SEED,
                     }
                 } else {
-                    match profile_by_name(n) {
-                        Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-                        None => SuiteJob::Missing { name: n.clone() },
-                    }
+                    profile_job(n, tier)
                 }
             })
             .collect(),
@@ -1719,7 +1664,7 @@ pub fn policies() -> String {
 
     const POLICIES: [(CtxPolicy, &str); 4] = [
         (CtxPolicy::Insensitive, "insens"),
-        (CtxPolicy::OneCfaClone, "1cfa"),
+        (CtxPolicy::KCfa(1), "1cfa"),
         (CtxPolicy::KCfa(2), "summary-2cfa"),
         (CtxPolicy::ObjSensitive, "objsens"),
     ];
@@ -1966,11 +1911,6 @@ pub fn campaign() -> String {
 {}",
         t.render()
     )
-}
-
-/// Run every experiment and return the full report.
-pub fn run_all() -> String {
-    render_all(&run_suite())
 }
 
 /// Render the full report from an already-evaluated suite (lets callers

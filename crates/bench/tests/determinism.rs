@@ -2,13 +2,24 @@
 //! workers produce identical evaluations and byte-identical report text.
 
 use pythia_bench::experiments as exp;
+use pythia_workloads::SizeTier;
 
 const NAMES: [&str; 2] = ["519.lbm_r", "505.mcf_r"];
 
+/// `names` at the standard tier under the default VM config.
+fn run_standard(names: &[&str], threads: usize) -> Vec<exp::SuiteEntry> {
+    exp::run_profiles(
+        names,
+        SizeTier::Standard,
+        threads,
+        &pythia_core::VmConfig::default(),
+    )
+}
+
 #[test]
 fn serial_and_parallel_evaluations_are_identical() {
-    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&run_standard(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&run_standard(&NAMES, 4));
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -38,7 +49,7 @@ fn profiling_toggle_never_changes_results() {
         exp::fig4a(&evals) + &exp::fig4b(&evals)
     };
     for threads in [1, 4] {
-        let on = exp::run_profiles(&NAMES, threads);
+        let on = run_standard(&NAMES, threads);
         assert_eq!(
             on.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
             NAMES.to_vec(),
@@ -65,7 +76,7 @@ fn profiling_toggle_never_changes_results() {
         let report_on = render(&on);
         assert_eq!(
             report_on,
-            render(&exp::run_profiles(&NAMES, threads)),
+            render(&run_standard(&NAMES, threads)),
             "report bytes must be reproducible with profiling enabled"
         );
     }
@@ -73,8 +84,8 @@ fn profiling_toggle_never_changes_results() {
 
 #[test]
 fn serial_and_parallel_report_text_is_byte_identical() {
-    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&run_standard(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&run_standard(&NAMES, 4));
     let render = |suite: &[pythia_core::BenchEvaluation]| {
         let mut out = String::new();
         out.push_str(&exp::fig4a(suite));
@@ -120,7 +131,7 @@ fn legacy_and_block_engines_are_observationally_identical() {
                     profile,
                     ..VmConfig::default()
                 };
-                exp::ok_evaluations(&exp::run_profiles_cfg(&NAMES, threads, &cfg))
+                exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Standard, threads, &cfg))
             };
             let legacy = run(Engine::Legacy);
             let block = run(Engine::Block);
@@ -151,8 +162,8 @@ fn legacy_and_block_engines_are_observationally_identical() {
 #[test]
 fn rerunning_the_same_profile_is_reproducible() {
     // Same seed, same machine state → same evaluation, run to run.
-    let a = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], 2));
-    let b = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], 2));
+    let a = exp::ok_evaluations(&run_standard(&["519.lbm_r"], 2));
+    let b = exp::ok_evaluations(&run_standard(&["519.lbm_r"], 2));
     assert_eq!(a[0].analysis, b[0].analysis);
     assert_eq!(exp::fig4a(&a), exp::fig4a(&b));
 }

@@ -7,6 +7,7 @@
 //! the same results, as a clean run.
 
 use pythia_bench::experiments as exp;
+use pythia_core::VmConfig;
 use pythia_ir::{FunctionBuilder, Module, Ty};
 use pythia_workloads::{generate_scaled, SPEC_PROFILES};
 
@@ -39,7 +40,7 @@ fn suite_modules(poison: Option<usize>) -> Vec<(String, Module, u64)> {
 #[test]
 fn suite_survives_one_bad_benchmark() {
     let poison = SPEC_PROFILES.len() / 2;
-    let suite = exp::evaluate_modules(suite_modules(Some(poison)), 4);
+    let suite = exp::evaluate_modules(suite_modules(Some(poison)), 4, &VmConfig::default());
     assert_eq!(suite.len(), SPEC_PROFILES.len(), "no slot may vanish");
 
     // Slot order is byte-identical to the profile table, failure or not.
@@ -69,8 +70,8 @@ fn suite_survives_one_bad_benchmark() {
 #[test]
 fn failure_slots_are_deterministic_across_worker_counts() {
     let poison = 2;
-    let serial = exp::evaluate_modules(suite_modules(Some(poison)), 1);
-    let parallel = exp::evaluate_modules(suite_modules(Some(poison)), 4);
+    let serial = exp::evaluate_modules(suite_modules(Some(poison)), 1, &VmConfig::default());
+    let parallel = exp::evaluate_modules(suite_modules(Some(poison)), 4, &VmConfig::default());
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.name, b.name, "slot order must not depend on workers");
@@ -92,7 +93,7 @@ fn failure_slots_are_deterministic_across_worker_counts() {
 
 #[test]
 fn report_renders_around_the_failure() {
-    let suite = exp::evaluate_modules(suite_modules(Some(0)), 4);
+    let suite = exp::evaluate_modules(suite_modules(Some(0)), 4, &VmConfig::default());
     let errors = exp::errors_section(&suite);
     assert!(
         errors.contains("1 of") && errors.contains(SPEC_PROFILES[0].name),
@@ -105,13 +106,13 @@ fn report_renders_around_the_failure() {
     assert!(fig.contains(SPEC_PROFILES[1].name));
 
     // A clean suite renders no error section at all.
-    let clean = exp::evaluate_modules(suite_modules(None), 4);
+    let clean = exp::evaluate_modules(suite_modules(None), 4, &VmConfig::default());
     assert!(exp::errors_section(&clean).is_empty());
 }
 
 #[test]
 fn bench_json_carries_per_benchmark_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2, &VmConfig::default());
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,
@@ -131,7 +132,7 @@ fn bench_json_carries_per_benchmark_status() {
 
 #[test]
 fn bench_json_profile_mode_embeds_scheme_profiles() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2, &VmConfig::default());
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,
@@ -161,7 +162,7 @@ fn bench_json_profile_mode_embeds_scheme_profiles() {
 
 #[test]
 fn bench_json_lint_mode_records_certification_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2, &VmConfig::default());
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,

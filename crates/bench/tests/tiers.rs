@@ -25,8 +25,8 @@ fn render(suite: &[pythia_core::BenchEvaluation]) -> String {
 #[test]
 fn ref_tier_report_is_byte_identical_across_worker_counts() {
     let cfg = exp::tier_vm_config(SizeTier::Ref);
-    let serial = exp::ok_evaluations(&exp::run_profiles_tier_cfg(&NAMES, SizeTier::Ref, 1, &cfg));
-    let parallel = exp::ok_evaluations(&exp::run_profiles_tier_cfg(&NAMES, SizeTier::Ref, 4, &cfg));
+    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, 1, &cfg));
+    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, 4, &cfg));
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -58,7 +58,7 @@ fn ref_tier_peak_resident_memory_is_bounded() {
     const K: u64 = 8;
     let peak = |tier: SizeTier| -> u64 {
         let cfg = exp::tier_vm_config(tier);
-        let evs = exp::ok_evaluations(&exp::run_profiles_tier_cfg(
+        let evs = exp::ok_evaluations(&exp::run_profiles(
             &["519.lbm_r"],
             tier,
             1,
@@ -88,7 +88,7 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
     // lbm has no such site; at ref it must prove at least one and the
     // instrumenter must prune the corresponding PA obligation.
     let cfg = exp::tier_vm_config(SizeTier::Ref);
-    let evs = exp::ok_evaluations(&exp::run_profiles_tier_cfg(
+    let evs = exp::ok_evaluations(&exp::run_profiles(
         &["519.lbm_r"],
         SizeTier::Ref,
         1,
@@ -107,7 +107,7 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
 
 #[test]
 fn suite_spec_engine_override_reaches_the_smoke_path() {
-    // Regression: run_smoke_with/evaluate_modules used to hardcode
+    // Regression: the smoke runner and evaluate_modules used to hardcode
     // VmConfig::default(), so `reproduce --smoke --engine legacy` silently
     // ran whatever PYTHIA_ENGINE said. The override is pinned via
     // SuiteSpec/cfg.engine, never the environment (tests run

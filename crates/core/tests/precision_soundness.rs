@@ -14,8 +14,8 @@
 //!    statically-unreachable obligation never costs a detection.
 
 use pythia_analysis::{
-    CtxPointsTo, CtxPolicy, PointsTo, Precision, SliceContext, SliceMode, SummaryPointsTo,
-    VulnerabilityReport, CTX_NODE_BUDGET,
+    CtxPolicy, PointsTo, Precision, SliceContext, SliceMode, SummaryPointsTo, VulnerabilityReport,
+    CTX_NODE_BUDGET,
 };
 use pythia_core::{instrument_with, run_campaign_with, Scheme, VmConfig};
 use pythia_ir::{Module, ValueId};
@@ -97,7 +97,7 @@ fn field_sensitive_is_a_refinement_of_field_insensitive() {
 fn one_cfa_is_a_refinement_of_the_insensitive_relation() {
     for m in suite_modules() {
         let base = PointsTo::analyze_with(&m, Precision::FieldSensitive);
-        let ctx1 = CtxPointsTo::analyze(&m, &base);
+        let ctx1 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
         assert!(
             !ctx1.is_fallback(),
             "{}: suite module exhausted the context-node budget",
@@ -111,8 +111,9 @@ fn one_cfa_is_a_refinement_of_the_insensitive_relation() {
             for v in (0..f.num_values() as u32).map(ValueId) {
                 let b = base.points_to(fid, v);
                 // The union over contexts is ⊆ the insensitive set: the
-                // 1-CFA solve runs the same constraint gatherer with
-                // sharper call linking, so sets (and ⊤) only shrink.
+                // 1-CFA solve replays the same per-function constraints
+                // with sharper call linking (and strong-update kills), so
+                // sets (and ⊤) only shrink.
                 let proj = ctx1.projected(fid, v).expect("non-fallback projection");
                 assert!(
                     !proj.unknown || b.unknown,
@@ -162,12 +163,12 @@ fn one_cfa_is_a_refinement_of_the_insensitive_relation() {
 fn summary_two_cfa_refines_one_cfa_refines_insensitive() {
     // The full refinement chain for the summary solver, on every suite
     // module: each per-context set is ⊆ its function's projection, the
-    // projection is ⊆ the 1-CFA clone projection (deeper chains plus
-    // strong-update kills only shrink sets), and that in turn is ⊆ the
+    // projection is ⊆ the 1-CFA projection (deeper chains only shrink
+    // sets; both apply the same strong-update kills), and that in turn is ⊆ the
     // insensitive base relation. ⊤ is likewise monotone down the chain.
     for m in suite_modules() {
         let base = PointsTo::analyze_with(&m, Precision::FieldSensitive);
-        let ctx1 = CtxPointsTo::analyze(&m, &base);
+        let ctx1 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
         let sum2 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
         assert!(
             !sum2.is_fallback(),

@@ -21,6 +21,10 @@ use pythia_workloads::{generate, nginx_module, SPEC_PROFILES};
 const INSTRUMENTED: [Scheme; 3] = [Scheme::Cpa, Scheme::Pythia, Scheme::Dfi];
 
 fn main() {
+    if let Err(e) = pythia_analysis::CtxPolicy::from_env() {
+        eprintln!("pythia-lint: {e}");
+        std::process::exit(2);
+    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
     if let Some(i) = args.iter().position(|a| a == "--json") {

@@ -984,17 +984,17 @@ impl<'a> Linter<'a> {
     /// composition bug (a lost callsite binding, a stale summary reuse, a
     /// skipped kill). Modules whose context plan exceeds
     /// [`OPT02_NODE_CAP`] are skipped (`opt02_equivalence` returns
-    /// `None`), as are non-summary policies — the rule is a differential
+    /// `None`), as is the insensitive policy — the rule is a differential
     /// proof harness, not a production solver.
     ///
     /// `mutation` deliberately drops the n-th strong-update kill from the
     /// summary side only; tests use it to prove the rule actually
     /// distinguishes the solvers.
     fn check_summary_composition(&mut self, mutation: Option<usize>) {
-        let (policy, budget) = CtxPolicy::from_env();
+        let (policy, budget) = CtxPolicy::from_env().unwrap_or_else(|e| panic!("{e}"));
         let cap = budget.min(OPT02_NODE_CAP);
         match opt02_equivalence(self.original, &self.ctx.points_to, policy, cap, mutation) {
-            None => {} // non-summary policy, or module too big for the cap
+            None => {} // insensitive policy, or module too big for the cap
             Some(true) => self.checks += 1,
             Some(false) => {
                 self.checks += 1;

@@ -144,8 +144,9 @@ if ! grep -qE '"contexts": [1-9]' "$JSON"; then
 fi
 echo "OK: context solver prunes heap obligations with zero budget fallbacks"
 
-# Policy differential gate: the same smoke suite under the clone 1-CFA
-# policy and the default summary 2-CFA policy (DESIGN.md §5j). The
+# Policy differential gate: the same smoke suite under the 1-CFA policy
+# (the summary solver at k = 1) and the default summary 2-CFA policy
+# (DESIGN.md §5j). The
 # attack-outcome figures (fig7b branch coverage, dist attack distance,
 # campaign detection rates) must be byte-identical across every policy —
 # a sharper relation may only prune proof obligations, never change a
@@ -203,6 +204,19 @@ if ! grep -q '"policy": "insensitive"' "$OUT/pol-insens/BENCH_suite.json"; then
     exit 1
 fi
 echo "OK: policies agree on every attack outcome; summary-2cfa pruning dominates 1cfa; budget=0 reports insensitive"
+
+# An unknown policy spelling must be rejected up front (exit 2, valid
+# spellings named), never silently run the default solver.
+echo "== unknown PYTHIA_CTX_POLICY is rejected =="
+bad_status=0
+PYTHIA_CTX_POLICY=no-such-policy target/release/reproduce --smoke \
+    > /dev/null 2> "$OUT/pol-bad.err" || bad_status=$?
+if [ "$bad_status" -ne 2 ] || ! grep -q 'insensitive, 1cfa, summary-2cfa, objsens' "$OUT/pol-bad.err"; then
+    echo "FAIL: PYTHIA_CTX_POLICY=no-such-policy exited $bad_status (want 2 naming the valid spellings):" >&2
+    cat "$OUT/pol-bad.err" >&2
+    exit 1
+fi
+echo "OK: unknown policy rejected with exit 2"
 
 # Ref-tier gate: one fast benchmark at --tier ref through the streaming
 # runner. The tier's bounded-loop array walks must give the interval

@@ -30,6 +30,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    pythia::analysis::CtxPolicy::from_env()?;
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
