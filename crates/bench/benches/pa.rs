@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the software PA substrate: the QARMA-like cipher,
-//! signing, and authentication throughput.
+//! signing, and authentication throughput, direct and through the
+//! [`PacMemo`] the VM uses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pythia_pa::{cipher, Key128, PaContext, PaKey};
+use pythia_pa::{cipher, Key128, PaContext, PaKey, PacMemo};
 
 fn bench_cipher(c: &mut Criterion) {
     let key = Key128::from_seed(7);
@@ -41,6 +42,26 @@ fn bench_sign_auth(c: &mut Criterion) {
             |signed| std::hint::black_box(ctx.auth(PaKey::Da, signed, 0x7fff_0040)),
             BatchSize::SmallInput,
         )
+    });
+    // The VM's steady state (CPA re-signing and re-authenticating the
+    // same few values): a small warm working set, so both operations hit.
+    c.bench_function("pa/sign_then_auth_memo_hit", |b| {
+        let mut memo = PacMemo::default();
+        let mut v = 0u64;
+        b.iter(|| {
+            v = v.wrapping_add(1) & 0x3f;
+            let signed = ctx.sign_memo(PaKey::Da, v, 0x7fff_0040, &mut memo);
+            std::hint::black_box(ctx.auth_memo(PaKey::Da, signed, 0x7fff_0040, &mut memo))
+        })
+    });
+    // Fresh values every time: the memo's overhead on top of the cipher.
+    c.bench_function("pa/sign_memo_miss", |b| {
+        let mut memo = PacMemo::default();
+        let mut v = 0u64;
+        b.iter(|| {
+            v = v.wrapping_add(1) & 0xffff_ffff;
+            std::hint::black_box(ctx.sign_memo(PaKey::Da, v, 0x7fff_0040, &mut memo))
+        })
     });
 }
 

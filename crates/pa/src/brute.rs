@@ -54,16 +54,17 @@ pub fn simulate_brute_force(
     let va_mask = ctx.config().va_mask();
     for t in 1..=max_tries {
         // Program (re)starts: fresh canary value at a fresh stack slot.
-        let canary_value: u64 = rng.gen::<u64>() & va_mask;
+        // The overwrite below replaces the signed canary entirely, so it
+        // is never signed here; its value is still drawn to keep the
+        // random stream (and every published try count) unchanged.
+        let _canary_value: u64 = rng.gen::<u64>() & va_mask;
         let modifier: u64 = rng.gen::<u64>() & va_mask;
-        let stored = ctx.sign(PaKey::Ga, canary_value, modifier);
         // Attacker overwrites with a guess. The attacker knows neither the
         // key nor the current canary; the best strategy is a uniform guess
         // of the PAC field over an arbitrary payload value.
         let guess_payload: u64 = rng.gen::<u64>() & va_mask;
         let guess_pac: u64 = rng.gen::<u64>() & ((1 << pac_bits) - 1);
         let forged = ctx.config().pack(guess_payload, guess_pac);
-        let _ = stored; // the overwrite replaces the stored slot entirely
         if ctx.auth(PaKey::Ga, forged, modifier).is_ok() {
             return BruteForceOutcome {
                 tries: t,

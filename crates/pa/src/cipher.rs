@@ -96,10 +96,26 @@ pub fn encrypt(key: Key128, tweak: u64, block: u64) -> u64 {
 ///
 /// Panics if `bits` is 0 or greater than 32.
 pub fn mac(key: Key128, modifier: u64, value: u64, bits: u32) -> u64 {
-    assert!(bits > 0 && bits <= 32, "PAC width must be in 1..=32");
+    truncate(fold(key, modifier, value), bits)
+}
+
+/// The full cipher output folded to 64 bits, before truncation to a PAC
+/// width: `mac(key, modifier, value, bits) == truncate(fold(..), bits)`
+/// for every width. [`crate::PacMemo`] caches this value.
+pub fn fold(key: Key128, modifier: u64, value: u64) -> u64 {
     let full = encrypt(key, modifier, value);
     // Fold the full block down so every input bit influences the PAC.
-    let folded = full ^ (full >> 32);
+    full ^ (full >> 32)
+}
+
+/// Truncate a [`fold`] output to a `bits`-wide PAC.
+///
+/// # Panics
+///
+/// Panics if `bits` is 0 or greater than 32.
+#[inline]
+pub fn truncate(folded: u64, bits: u32) -> u64 {
+    assert!(bits > 0 && bits <= 32, "PAC width must be in 1..=32");
     folded & ((1u64 << bits) - 1)
 }
 

@@ -3,8 +3,10 @@
 //! The Pythia paper relies on ARMv8.3-A Pointer Authentication hardware
 //! (paper §2.3). This crate is the workspace's substitute substrate
 //! (DESIGN.md §2): a QARMA-inspired tweakable cipher ([`cipher`]), the PAC
-//! bit-field geometry and per-process key state ([`pac`]), and the
-//! brute-force security model of §4.4/Eq. 6 ([`brute`]).
+//! bit-field geometry and per-process key state ([`pac`]), an exact memo
+//! of the cipher that makes repeated PA instructions cheap on the host
+//! ([`memo`]), and the brute-force security model of §4.4/Eq. 6
+//! ([`brute`]).
 //!
 //! # Examples
 //!
@@ -26,9 +28,11 @@
 
 pub mod brute;
 pub mod cipher;
+pub mod memo;
 pub mod pac;
 
 pub use brute::{brute_force_probability, expected_tries, simulate_brute_force, BruteForceOutcome};
 pub use cipher::Key128;
+pub use memo::PacMemo;
 pub use pac::{AuthError, PaContext, PacConfig};
 pub use pythia_ir::PaKey;

@@ -6,6 +6,7 @@
 //! 24 bits of PAC — the width the paper's Eq. 6 assumes for Linux.
 
 use crate::cipher::{self, Key128};
+use crate::memo::PacMemo;
 use pythia_ir::PaKey;
 use rand::Rng;
 use std::fmt;
@@ -166,9 +167,13 @@ impl PaContext {
     /// Any existing PAC/top bits are cleared first, matching hardware
     /// behaviour for canonical pointers.
     pub fn sign(&self, key: PaKey, value: u64, modifier: u64) -> u64 {
-        let raw = self.config.strip(value);
-        let pac = self.compute_pac(key, raw, modifier);
-        self.config.pack(raw, pac)
+        self.sign_by(value, |raw| self.compute_pac(key, raw, modifier))
+    }
+
+    /// [`PaContext::sign`], with the cipher answered from `memo` where it
+    /// can be. The result is identical (see [`PacMemo`]).
+    pub fn sign_memo(&self, key: PaKey, value: u64, modifier: u64, memo: &mut PacMemo) -> u64 {
+        self.sign_by(value, |raw| self.memo_pac(key, raw, modifier, memo))
     }
 
     /// Authenticate: verify the PAC and return the stripped value
@@ -179,8 +184,49 @@ impl PaContext {
     /// Returns [`AuthError`] when the PAC does not match — e.g. after an
     /// attacker overwrote the signed slot with raw bytes.
     pub fn auth(&self, key: PaKey, value: u64, modifier: u64) -> Result<u64, AuthError> {
+        self.auth_by(key, value, |raw| self.compute_pac(key, raw, modifier))
+    }
+
+    /// [`PaContext::auth`], with the cipher answered from `memo` where it
+    /// can be. The verdict and error payload are identical (see
+    /// [`PacMemo`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly when [`PaContext::auth`] errs.
+    pub fn auth_memo(
+        &self,
+        key: PaKey,
+        value: u64,
+        modifier: u64,
+        memo: &mut PacMemo,
+    ) -> Result<u64, AuthError> {
+        self.auth_by(key, value, |raw| self.memo_pac(key, raw, modifier, memo))
+    }
+
+    /// [`PaContext::compute_pac`] of an already stripped `raw`, through
+    /// `memo`.
+    #[inline]
+    fn memo_pac(&self, key: PaKey, raw: u64, modifier: u64, memo: &mut PacMemo) -> u64 {
+        let folded = memo.fold(self.keys[key_index(key)], modifier, raw);
+        cipher::truncate(folded, self.config.pac_bits)
+    }
+
+    #[inline]
+    fn sign_by(&self, value: u64, pac: impl FnOnce(u64) -> u64) -> u64 {
+        let raw = self.config.strip(value);
+        self.config.pack(raw, pac(raw))
+    }
+
+    #[inline]
+    fn auth_by(
+        &self,
+        key: PaKey,
+        value: u64,
+        pac: impl FnOnce(u64) -> u64,
+    ) -> Result<u64, AuthError> {
         let (raw, found) = self.config.unpack(value);
-        let expected = self.compute_pac(key, raw, modifier);
+        let expected = pac(raw);
         if expected == found {
             Ok(raw)
         } else {

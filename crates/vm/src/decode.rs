@@ -385,6 +385,9 @@ pub(crate) struct DecodedBlock {
 pub struct DecodedFunction {
     pub(crate) name: String,
     pub(crate) num_values: usize,
+    /// This function's first index in the module-wide value numbering
+    /// (see [`DecodedModule::value_index`]).
+    value_base: usize,
     pub(crate) num_params: usize,
     pub(crate) layout: FrameLayout,
     /// `(slot, value)` for every constant-kind value: folded once here
@@ -405,6 +408,8 @@ pub struct DecodedFunction {
 #[derive(Debug)]
 pub struct DecodedModule {
     pub(crate) funcs: Vec<DecodedFunction>,
+    /// Values across all functions (the module-wide numbering's size).
+    total_values: usize,
 }
 
 /// Chain-length bound for superblock formation (incl. the head block).
@@ -429,30 +434,53 @@ impl DecodedModule {
             globals_addr.push(addr);
             addr = addr.saturating_add(g.size().max(1));
         }
+        let mut total_values = 0;
         let funcs = module
             .functions()
             .iter()
-            .map(|f| DecodedFunction {
-                name: f.name.clone(),
-                num_values: f.num_values(),
-                num_params: f.params.len(),
-                layout: FrameLayout::of(f),
-                consts: (0..f.num_values() as u32)
-                    .filter_map(|i| {
-                        let c = match &f.value(ValueId(i)).kind {
-                            ValueKind::ConstInt(c) => *c,
-                            ValueKind::ConstNull => 0,
-                            ValueKind::GlobalAddr(g) => globals_addr[g.0 as usize] as i64,
-                            ValueKind::FuncAddr(t) => (0x4000 + t.0 as u64 * 16) as i64,
-                            ValueKind::Arg(_) | ValueKind::Inst(_) => return None,
-                        };
-                        Some((i, c))
-                    })
-                    .collect(),
-                blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
+            .map(|f| {
+                let value_base = total_values;
+                total_values += f.num_values();
+                DecodedFunction {
+                    name: f.name.clone(),
+                    num_values: f.num_values(),
+                    value_base,
+                    num_params: f.params.len(),
+                    layout: FrameLayout::of(f),
+                    consts: (0..f.num_values() as u32)
+                        .filter_map(|i| {
+                            let c = match &f.value(ValueId(i)).kind {
+                                ValueKind::ConstInt(c) => *c,
+                                ValueKind::ConstNull => 0,
+                                ValueKind::GlobalAddr(g) => globals_addr[g.0 as usize] as i64,
+                                ValueKind::FuncAddr(t) => (0x4000 + t.0 as u64 * 16) as i64,
+                                ValueKind::Arg(_) | ValueKind::Inst(_) => return None,
+                            };
+                            Some((i, c))
+                        })
+                        .collect(),
+                    blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
+                }
             })
             .collect();
-        DecodedModule { funcs }
+        DecodedModule {
+            funcs,
+            total_values,
+        }
+    }
+
+    /// Values across all functions of the module.
+    pub(crate) fn total_values(&self) -> usize {
+        self.total_values
+    }
+
+    /// Dense module-wide index of value `iv` of function `fid`, in
+    /// `0..total_values()`: functions' values numbered one after another
+    /// in function order, so a per-module bitset over instructions (the
+    /// VM's executed-PA-site set) needs no hashing.
+    #[inline]
+    pub(crate) fn value_index(&self, fid: FuncId, iv: ValueId) -> usize {
+        self.funcs[fid.0 as usize].value_base + iv.0 as usize
     }
 
     /// The decoded superblock headed at `(fid, bb)`, decoding it on first

@@ -350,17 +350,9 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.signs += 1;
-                        }
-                        self.pa_key_counts[*key as usize] += 1;
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
-                        let signed = self.pa.sign(*key, v, md);
-                        self.witness_ga_sign(*key, md, signed);
-                        values[op.iv.0 as usize] = signed as i64;
+                        values[op.iv.0 as usize] = self.pa_sign(fid, op.iv, *key, v, md) as i64;
                     }
                     OpKind::PacAuth {
                         value,
@@ -368,34 +360,15 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.auths += 1;
-                        }
-                        self.pa_key_counts[*key as usize] += 1;
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
-                        match self.pa.auth(*key, v, md) {
-                            Ok(raw) => values[op.iv.0 as usize] = raw as i64,
-                            Err(_) => {
-                                if self.cfg.profile {
-                                    self.profile.pa.auth_failures += 1;
-                                }
-                                flush!();
-                                return Err(Trap::PacAuthFailure { key: *key }.into());
-                            }
-                        }
+                        values[op.iv.0 as usize] =
+                            try_f!(self.pa_auth(fid, op.iv, *key, v, md)) as i64;
                     }
                     OpKind::PacStrip { value } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.strips += 1;
-                        }
                         let v = read(values, *value) as u64;
-                        values[op.iv.0 as usize] = self.pa.strip(v) as i64;
+                        values[op.iv.0 as usize] = self.pa_strip(fid, op.iv, v) as i64;
                     }
                     OpKind::SetDef { ptr, def_id } => {
                         meter!(op);

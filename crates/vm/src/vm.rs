@@ -25,7 +25,7 @@ use pythia_ir::{
     dfi_def_id, BinOp, BlockId, Callee, CastKind, DetectionKind, FuncId, Inst, Intrinsic, Module,
     PaKey, PythiaError, Ty, ValueId, ValueKind,
 };
-use pythia_pa::PaContext;
+use pythia_pa::{PaContext, PacMemo};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -442,7 +442,15 @@ pub struct Vm<'m> {
     pub(crate) stack_objects: BTreeMap<u64, u64>,
     pub(crate) ic_write_counter: u64,
     pub(crate) halted: Option<i64>,
-    pub(crate) pa_site_set: std::collections::HashSet<(u32, u32)>,
+    /// Executed PA sites, one bit per value of the module (indexed by
+    /// [`DecodedModule::value_index`]); empty until the first PA
+    /// instruction, so vanilla and DFI runs never allocate it.
+    pub(crate) pa_site_bits: Vec<u64>,
+    /// Set bits in `pa_site_bits` ([`RunMetrics::pa_sites`]).
+    pub(crate) pa_site_count: u64,
+    /// Memo of the PAC cipher for this VM's PA instructions (exact under
+    /// any key, so it survives [`Vm::reset`] un-flushed).
+    pub(crate) pac_memo: PacMemo,
     pub(crate) profile: Profile,
     pub(crate) trace: Vec<TraceEvent>,
     /// A setup problem found during construction, reported by the next
@@ -456,7 +464,7 @@ pub struct Vm<'m> {
     /// Block-engine opcode histogram (dense; folded into
     /// [`Profile::opcodes`]/`opcode_mc` once at the end of [`Vm::run`]).
     pub(crate) op_counts: [u64; 256],
-    /// Block-engine PA-key histogram, folded into `Profile::pa.by_key`.
+    /// PA-key histogram of both engines, folded into `Profile::pa.by_key`.
     pub(crate) pa_key_counts: [u64; 5],
     /// Whether the next executed instruction should be traced. Starts as
     /// `trace_limit > 0` and is flipped off once the limit is reached, so
@@ -487,6 +495,8 @@ struct Buffers {
     frame_pool: Vec<Vec<i64>>,
     argv_pool: Vec<Vec<i64>>,
     zeros: Vec<u8>,
+    pa_site_bits: Vec<u64>,
+    pac_memo: PacMemo,
 }
 
 impl Buffers {
@@ -498,6 +508,8 @@ impl Buffers {
             frame_pool: Vec::new(),
             argv_pool: Vec::new(),
             zeros: Vec::new(),
+            pa_site_bits: Vec::new(),
+            pac_memo: PacMemo::default(),
         }
     }
 }
@@ -530,9 +542,11 @@ impl<'m> Vm<'m> {
     /// same module, decode cache, `cfg` and `plan`, whatever the previous
     /// run left behind (a trap mid-call, a setup error, a recorded
     /// witness). Only the host buffers survive — the simulated memory's
-    /// page tables, the cache simulator's tag arrays and the engines'
-    /// scratch pools — cleared instead of reallocated, so a fleet of
-    /// short runs pays for allocating them once.
+    /// page tables, the cache simulator's tag arrays, the engines'
+    /// scratch pools and the PA-site bitset — cleared instead of
+    /// reallocated, so a fleet of short runs pays for allocating them
+    /// once. The PAC memo survives as it is: its entries are tagged with
+    /// the full key, so they stay exact under the new seed's keys.
     pub fn reset(&mut self, cfg: VmConfig, plan: InputPlan) {
         let mut bufs = Buffers {
             mem: std::mem::replace(&mut self.mem, Memory::placeholder()),
@@ -541,9 +555,12 @@ impl<'m> Vm<'m> {
             frame_pool: std::mem::take(&mut self.frame_pool),
             argv_pool: std::mem::take(&mut self.argv_pool),
             zeros: std::mem::take(&mut self.zeros),
+            pa_site_bits: std::mem::take(&mut self.pa_site_bits),
+            pac_memo: std::mem::take(&mut self.pac_memo),
         };
         bufs.mem.reset();
         bufs.cache.reset();
+        bufs.pa_site_bits.fill(0);
         *self = Self::assemble(self.module, Arc::clone(&self.decoded), cfg, plan, bufs);
     }
 
@@ -581,7 +598,9 @@ impl<'m> Vm<'m> {
             stack_objects: BTreeMap::new(),
             ic_write_counter: 0,
             halted: None,
-            pa_site_set: std::collections::HashSet::new(),
+            pa_site_bits: bufs.pa_site_bits,
+            pa_site_count: 0,
+            pac_memo: bufs.pac_memo,
             profile: Profile::default(),
             trace: Vec::new(),
             setup_error: heap_error,
@@ -670,13 +689,78 @@ impl<'m> Vm<'m> {
         &self.witness
     }
 
-    /// Record one executed `Ga` canary sign into the witness. Shared by
-    /// both engines' `PacSign` arms; a no-op unless witness recording is
-    /// on.
+    /// Execute one `pacsign` at instruction `iv` of `fid`: the one
+    /// implementation behind both engines' sign arms. Meters the PA
+    /// counters and the profile, marks the site, signs through the memo
+    /// and records `Ga` canaries into the witness.
     #[inline]
-    pub(crate) fn witness_ga_sign(&mut self, key: PaKey, modifier: u64, signed: u64) {
+    pub(crate) fn pa_sign(
+        &mut self,
+        fid: FuncId,
+        iv: ValueId,
+        key: PaKey,
+        value: u64,
+        modifier: u64,
+    ) -> u64 {
+        self.count_pa(fid, iv);
+        self.pa_key_counts[key as usize] += 1;
+        if self.cfg.profile {
+            self.profile.pa.signs += 1;
+        }
+        let signed = self.pa.sign_memo(key, value, modifier, &mut self.pac_memo);
         if self.cfg.record_witness && key == PaKey::Ga {
             self.witness.ga_signs.push((modifier, signed));
+        }
+        signed
+    }
+
+    /// Execute one `pacauth` at instruction `iv` of `fid` (both engines'
+    /// auth arms): [`Vm::pa_sign`]'s metering, then the stripped value or
+    /// the [`Trap::PacAuthFailure`] a mismatch raises.
+    #[inline]
+    pub(crate) fn pa_auth(
+        &mut self,
+        fid: FuncId,
+        iv: ValueId,
+        key: PaKey,
+        value: u64,
+        modifier: u64,
+    ) -> Result<u64, Trap> {
+        self.count_pa(fid, iv);
+        self.pa_key_counts[key as usize] += 1;
+        if self.cfg.profile {
+            self.profile.pa.auths += 1;
+        }
+        let authed = self.pa.auth_memo(key, value, modifier, &mut self.pac_memo);
+        if authed.is_err() && self.cfg.profile {
+            self.profile.pa.auth_failures += 1;
+        }
+        authed.map_err(|_| Trap::PacAuthFailure { key })
+    }
+
+    /// Execute one `pacstrip` at instruction `iv` of `fid` (both engines'
+    /// strip arms).
+    #[inline]
+    pub(crate) fn pa_strip(&mut self, fid: FuncId, iv: ValueId, value: u64) -> u64 {
+        self.count_pa(fid, iv);
+        if self.cfg.profile {
+            self.profile.pa.strips += 1;
+        }
+        self.pa.strip(value)
+    }
+
+    /// Count one executed PA instruction and mark its site.
+    #[inline]
+    fn count_pa(&mut self, fid: FuncId, iv: ValueId) {
+        self.metrics.pa_insts += 1;
+        let site = self.decoded.value_index(fid, iv);
+        if self.pa_site_bits.is_empty() {
+            self.pa_site_bits = vec![0; self.decoded.total_values().div_ceil(64)];
+        }
+        let (word, bit) = (&mut self.pa_site_bits[site / 64], 1u64 << (site % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.pa_site_count += 1;
         }
     }
 
@@ -733,13 +817,14 @@ impl<'m> Vm<'m> {
         self.metrics.heap_shared = self.heap.stats(Section::Shared);
         self.metrics.heap_isolated = self.heap.stats(Section::Isolated);
         self.metrics.heap_init_calls = self.heap.init_calls();
-        self.metrics.pa_sites = self.pa_site_set.len() as u64;
+        self.metrics.pa_sites = self.pa_site_count;
         if self.cfg.profile {
-            // Fold the block engine's dense histograms into the Profile
-            // maps. Valid because the base cost of an instruction depends
-            // only on its mnemonic class, so `sum(base) == count * base`.
-            // Under the legacy engine both arrays stay zero (it records
-            // straight into the maps) and this is a no-op.
+            // Fold the dense histograms into the Profile maps. Valid
+            // because the base cost of an instruction depends only on its
+            // mnemonic class, so `sum(base) == count * base`. The legacy
+            // engine records opcodes straight into the maps, so
+            // `op_counts` stays zero under it; `pa_key_counts` is fed by
+            // the PA helpers both engines share.
             for (i, &n) in self.op_counts.iter().take(N_MNEMONICS).enumerate() {
                 if n > 0 {
                     *self.profile.opcodes.entry(MNEMONICS[i]).or_insert(0) += n;
@@ -1129,49 +1214,22 @@ impl<'m> Vm<'m> {
                         key,
                         modifier,
                     } => {
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.signs += 1;
-                            *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
-                        }
                         let v = self.value_of(f, &frame.values, *value) as u64;
                         let md = self.value_of(f, &frame.values, *modifier) as u64;
-                        let signed = self.pa.sign(*key, v, md);
-                        self.witness_ga_sign(*key, md, signed);
-                        frame.values[iv.0 as usize] = signed as i64;
+                        frame.values[iv.0 as usize] = self.pa_sign(fid, iv, *key, v, md) as i64;
                     }
                     Inst::PacAuth {
                         value,
                         key,
                         modifier,
                     } => {
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.auths += 1;
-                            *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
-                        }
                         let v = self.value_of(f, &frame.values, *value) as u64;
                         let md = self.value_of(f, &frame.values, *modifier) as u64;
-                        match self.pa.auth(*key, v, md) {
-                            Ok(raw) => frame.values[iv.0 as usize] = raw as i64,
-                            Err(_) => {
-                                if self.cfg.profile {
-                                    self.profile.pa.auth_failures += 1;
-                                }
-                                return Err(Trap::PacAuthFailure { key: *key }.into());
-                            }
-                        }
+                        frame.values[iv.0 as usize] = self.pa_auth(fid, iv, *key, v, md)? as i64;
                     }
                     Inst::PacStrip { value } => {
-                        self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
-                        if self.cfg.profile {
-                            self.profile.pa.strips += 1;
-                        }
                         let v = self.value_of(f, &frame.values, *value) as u64;
-                        frame.values[iv.0 as usize] = self.pa.strip(v) as i64;
+                        frame.values[iv.0 as usize] = self.pa_strip(fid, iv, v) as i64;
                     }
                     Inst::SetDef { ptr, def_id } => {
                         self.metrics.dfi_insts += 1;
@@ -1898,6 +1956,48 @@ mod tests {
         let r = run_module(&m, "main", &[]);
         assert_eq!(r.exit, ExitReason::Returned(0x1234));
         assert_eq!(r.metrics.pa_insts, 2);
+    }
+
+    /// A `Ga` canary signed in one epoch must not authenticate after the
+    /// VM is reset to another seed, even though the PAC memo still holds
+    /// the old key's entry for the very same `(modifier, value)`.
+    #[test]
+    fn a_stale_epoch_canary_traps_after_reset_with_a_warm_memo() {
+        let mut m = Module::new("m");
+        for (name, auth) in [("sign", false), ("check", true)] {
+            let mut b = FunctionBuilder::new(name, vec![Ty::I64], Ty::I64);
+            let x = b.func().arg(0);
+            let md = b.const_i64(0x7fff_0040);
+            let r = if auth {
+                b.pac_auth(x, PaKey::Ga, md)
+            } else {
+                b.pac_sign(x, PaKey::Ga, md)
+            };
+            b.ret(Some(r));
+            m.add_function(b.finish());
+        }
+        for engine in [Engine::Legacy, Engine::Block] {
+            let cfg = |seed| VmConfig {
+                seed,
+                engine,
+                ..VmConfig::default()
+            };
+            let mut vm = Vm::new(&m, cfg(1), InputPlan::benign(1));
+            let ExitReason::Returned(stale) = vm.run("sign", &[0x1234]).unwrap().exit else {
+                panic!("sign must return");
+            };
+            vm.reset(cfg(2), InputPlan::benign(1));
+            let r = vm.run("check", &[stale]).unwrap();
+            assert_eq!(
+                r.exit,
+                ExitReason::Trapped(Trap::PacAuthFailure { key: PaKey::Ga }),
+                "{engine:?}"
+            );
+            vm.reset(cfg(1), InputPlan::benign(1));
+            let r = vm.run("check", &[stale]).unwrap();
+            assert_eq!(r.exit, ExitReason::Returned(0x1234), "{engine:?}");
+            assert_eq!((r.metrics.pa_insts, r.metrics.pa_sites), (1, 1));
+        }
     }
 
     #[test]

@@ -281,4 +281,21 @@ if [ -z "$pythia_hits" ] || [ "$pythia_hits" -eq 0 ]; then
 fi
 echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, zero internal errors"
 
-echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"
+# Server engine differential gate: BENCH_server.json carries only
+# deterministic, engine-free facts (detection tables, simulated-cycle
+# latencies, counters), and both engines run PA instructions through the
+# same memoised sign/auth helpers — so the scenario must write the same
+# bytes under either engine.
+echo "== server engine differential gate (legacy vs block) =="
+for engine in legacy block; do
+    target/release/reproduce --scenario server --connections 8 --requests 4000 \
+        --engine "$engine" --out "$OUT/server-$engine" >/dev/null
+done
+if ! diff -q "$OUT/server-legacy/BENCH_server.json" "$OUT/server-block/BENCH_server.json"; then
+    echo "FAIL: legacy and block engines write different BENCH_server.json" >&2
+    diff -u "$OUT/server-legacy/BENCH_server.json" "$OUT/server-block/BENCH_server.json" | head -50 >&2
+    exit 1
+fi
+echo "OK: legacy and block engine BENCH_server.json are byte-identical"
+
+echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier, server-scenario and server engine gates are clean ($JSON)"

@@ -204,9 +204,9 @@ proptest! {
     }
 }
 
-/// The Pythia-instrumented server module plus a `fault` entry that
-/// loads through a null-page pointer.
-fn reset_module() -> Module {
+/// The server module plus a `fault` entry that loads through a
+/// null-page pointer, instrumented under `scheme`.
+fn reset_module(scheme: Scheme) -> Module {
     let mut m = server_module();
     let mut b = FunctionBuilder::new("fault", vec![], Ty::I64);
     let k = b.const_i64(8);
@@ -217,7 +217,7 @@ fn reset_module() -> Module {
     verify::verify_module(&m).expect("valid IR");
     let ctx = pythia::analysis::SliceContext::new(&m);
     let report = pythia::analysis::VulnerabilityReport::analyze(&ctx);
-    instrument_with(&m, &ctx, &report, Scheme::Pythia).module
+    instrument_with(&m, &ctx, &report, scheme).module
 }
 
 /// Everything a run shows: its result, and the VM state the caller can
@@ -239,7 +239,7 @@ fn observe(vm: &mut Vm<'_>, entry: &str, args: &[i64]) -> String {
 /// both engines.
 #[test]
 fn a_reset_vm_runs_exactly_like_a_fresh_one() {
-    let m = reset_module();
+    let m = reset_module(Scheme::Pythia);
     let request = [3i64, 5];
     let server = |seed: u64| VmConfig {
         seed,
@@ -358,6 +358,47 @@ fn a_reset_vm_runs_exactly_like_a_fresh_one() {
             reused.reset(with(cfg), plan.clone());
             let got = observe(&mut reused, entry, args);
             assert_eq!(got, want, "run {i} ({engine:?}): reset diverged from fresh");
+        }
+    }
+}
+
+/// The CPA server variant signs and authenticates on every use, so its
+/// runs lean on the host buffers a reset keeps: the PAC memo (never
+/// flushed) and the PA-site bitset (cleared). One VM reset through
+/// changing seeds — each re-keying the PA context — must match a fresh
+/// VM in every metric (`pa_insts`, `pa_sites`, `cycles`), under both
+/// engines.
+#[test]
+fn a_reset_cpa_vm_runs_exactly_like_a_fresh_one_across_seeds() {
+    let m = reset_module(Scheme::Cpa);
+    for engine in [Engine::Legacy, Engine::Block] {
+        let decoded = Arc::new(DecodedModule::new(&m));
+        let cfg = |seed: u64| VmConfig {
+            seed,
+            engine,
+            max_call_depth: 64,
+            inline_exec: true,
+            ..VmConfig::default()
+        };
+        let mut reused = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(0), InputPlan::benign(0));
+        for (i, seed) in [1u64, 2, 1, 3, 3, 2].into_iter().enumerate() {
+            let request = [seed as i64, i as i64];
+            let plan = InputPlan::benign(7 + seed);
+            let mut fresh = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(seed), plan.clone());
+            let want = fresh.run("handle_request", &request).unwrap();
+            assert!(
+                matches!(want.exit, ExitReason::Returned(_)),
+                "run {i} ({engine:?}): {:?}",
+                want.exit
+            );
+            assert!(want.metrics.pa_insts > 0 && want.metrics.pa_sites > 0);
+            reused.reset(cfg(seed), plan);
+            let got = reused.run("handle_request", &request).unwrap();
+            assert_eq!(
+                (got.exit, got.metrics, &got.profile),
+                (want.exit, want.metrics, &want.profile),
+                "run {i} ({engine:?}): reset diverged from fresh"
+            );
         }
     }
 }
