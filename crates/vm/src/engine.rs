@@ -182,12 +182,12 @@ impl<'m> Vm<'m> {
             // that nothing reads in between, so deferring the adds is
             // observation-preserving; `remaining` carries the budget
             // check as a register compare (`k >= remaining` fires at
-            // exactly the instruction the legacy per-op check traps on,
+            // exactly the instruction the legacy per-op check stops on,
             // including budgets already overrun by unchecked phi
             // metering, where `remaining` is 0).
             let mut k: u64 = 0;
             let mut cyc: u64 = 0;
-            let mut remaining = self.cfg.max_insts.saturating_sub(self.metrics.insts);
+            let mut remaining = self.budget_left();
             macro_rules! flush {
                 () => {
                     self.metrics.insts += k;
@@ -211,6 +211,23 @@ impl<'m> Vm<'m> {
                     }
                 };
             }
+            // The budget check before an instruction: a register compare
+            // until the next budget stop, then the shared
+            // `Vm::check_budget` on exact counters, which traps or — in a
+            // `run_sliced` run — records the checkpoint(s) and moves the
+            // stop on.
+            macro_rules! budget {
+                () => {
+                    if k >= remaining {
+                        flush!();
+                        self.check_budget(self.metrics.insts + 1)?;
+                        #[allow(unused_assignments)]
+                        {
+                            remaining = self.budget_left();
+                        }
+                    }
+                };
+            }
             // Standard metering in legacy order (budget check →
             // instruction count → trace event → base charge → profile),
             // expanded at the top of every instruction arm so the loop
@@ -218,10 +235,7 @@ impl<'m> Vm<'m> {
             // boundary, not an instruction) is the only unmetered arm.
             macro_rules! meter {
                 ($op:expr) => {
-                    if k >= remaining {
-                        flush!();
-                        return Err(Trap::InstBudgetExhausted.into());
-                    }
+                    budget!();
                     k += 1;
                     if trace_on {
                         self.push_trace(fid, $op.iv, crate::decode::MNEMONICS[$op.mn as usize]);
@@ -253,14 +267,11 @@ impl<'m> Vm<'m> {
                         }
                         flush!();
                         self.run_prologue(prologue, values, &df.name)?;
-                        remaining = self.cfg.max_insts.saturating_sub(self.metrics.insts);
+                        remaining = self.budget_left();
                         continue;
                     }
                     OpKind::NotInst => {
-                        if k >= remaining {
-                            flush!();
-                            return Err(Trap::InstBudgetExhausted.into());
-                        }
+                        budget!();
                         k += 1;
                         flush!();
                         return Err(PythiaError::internal("block member is not an instruction")
@@ -423,7 +434,7 @@ impl<'m> Vm<'m> {
                         };
                         self.argv_pool.push(argv);
                         values[op.iv.0 as usize] = ret;
-                        remaining = self.cfg.max_insts.saturating_sub(self.metrics.insts);
+                        remaining = self.budget_left();
                         if self.halted.is_some() {
                             return Ok(0);
                         }

@@ -50,6 +50,6 @@ pub use input::{AttackSpec, InputPlan, IntOrPayload, MAX_BENIGN_STRING};
 pub use memory::{layout, Memory, MemoryError, MemoryFault, NULL_GUARD, PAGE_SIZE, VA_BITS};
 pub use profile::{static_pa_counts, PaProfile, Profile, ShadowProfile};
 pub use vm::{
-    DetectionMechanism, Engine, ExitReason, RunMetrics, RunResult, TraceEvent, Trap, Vm, VmConfig,
-    Witness,
+    Checkpoint, DetectionMechanism, Engine, ExitReason, RunMetrics, RunResult, TraceEvent, Trap,
+    Vm, VmConfig, Witness,
 };

@@ -290,6 +290,18 @@ impl RunResult {
     }
 }
 
+/// What a run cut off by a smaller instruction budget would have shown,
+/// recorded by [`Vm::run_sliced`] as its one run crosses that budget: the
+/// [`RunMetrics`] a [`Trap::InstBudgetExhausted`] run returns (cache,
+/// heap and `pa_sites` included) and the resident bytes it leaves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Checkpoint {
+    /// The trapped run's metrics.
+    pub metrics: RunMetrics,
+    /// [`Memory::resident_bytes`] after the trapped run.
+    pub resident_bytes: u64,
+}
+
 /// Which execution engine [`Vm::run`] drives.
 ///
 /// Both engines are observation-equivalent: identical exit reasons,
@@ -362,8 +374,9 @@ pub struct VmConfig {
     pub record_witness: bool,
     /// Run the entry function on the caller's stack instead of a
     /// dedicated 32 MiB interpreter thread. For fleets of tiny runs
-    /// (the event-loop server retires ~10⁶ request VMs per scenario)
-    /// the per-run thread spawn dominates; callers opting in must keep
+    /// (the standard server scenario runs each of its ~10⁶ requests
+    /// once, on one VM per event loop that `reset`s between runs) the
+    /// per-run thread spawn dominates; callers opting in must keep
     /// `max_call_depth` small enough for their own stack.
     pub inline_exec: bool,
 }
@@ -483,6 +496,14 @@ pub struct Vm<'m> {
     /// Disclosure record (populated only under
     /// [`VmConfig::record_witness`]).
     pub(crate) witness: Witness,
+    /// The smallest budget the next budget check compares against: the
+    /// next checkpoint boundary of a [`Vm::run_sliced`] run, else
+    /// `cfg.max_insts`.
+    next_stop: u64,
+    /// Checkpoint stride of a [`Vm::run_sliced`] run (0 for [`Vm::run`]).
+    slice_insts: u64,
+    /// Checkpoints recorded so far, one per crossed boundary.
+    checkpoints: Vec<Checkpoint>,
 }
 
 /// The host buffers a VM keeps across [`Vm::reset`]: costly to
@@ -614,6 +635,9 @@ impl<'m> Vm<'m> {
             argv_pool: bufs.argv_pool,
             zeros: bufs.zeros,
             witness: Witness::default(),
+            next_stop: cfg.max_insts,
+            slice_insts: 0,
+            checkpoints: Vec::new(),
             cfg,
         };
         if let Err(e) = vm.init_globals() {
@@ -813,11 +837,7 @@ impl<'m> Vm<'m> {
             Err(Halt::Trap(t)) => ExitReason::Trapped(t),
             Err(Halt::Error(e)) => return Err(*e),
         };
-        self.metrics.cache = self.cache.stats();
-        self.metrics.heap_shared = self.heap.stats(Section::Shared);
-        self.metrics.heap_isolated = self.heap.stats(Section::Isolated);
-        self.metrics.heap_init_calls = self.heap.init_calls();
-        self.metrics.pa_sites = self.pa_site_count;
+        self.metrics = self.metrics_now();
         if self.cfg.profile {
             // Fold the dense histograms into the Profile maps. Valid
             // because the base cost of an instruction depends only on its
@@ -857,7 +877,94 @@ impl<'m> Vm<'m> {
         })
     }
 
+    /// Run `entry` once at the budget `cfg.max_insts` and record a
+    /// [`Checkpoint`] at every boundary `k × slice_insts` below it that
+    /// the run crosses; read them with [`Vm::checkpoints`].
+    ///
+    /// A run's budget only decides where it stops: the run with budget
+    /// `b` is step for step the prefix of this run up to the first budget
+    /// check `b` fails (an instruction check at `insts >= b` or a bulk
+    /// intrinsic with `len > b`). So checkpoint `k - 1` is exactly what
+    /// a fresh run at budget `k × slice_insts` returns, and a fresh run
+    /// at a boundary this run never crosses ends as this run does.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::run`], plus [`PythiaError::Setup`] for a zero stride.
+    pub fn run_sliced(
+        &mut self,
+        entry: &str,
+        args: &[i64],
+        slice_insts: u64,
+    ) -> Result<RunResult, PythiaError> {
+        if slice_insts == 0 {
+            return Err(PythiaError::setup("run_sliced needs a non-zero slice"));
+        }
+        self.slice_insts = slice_insts;
+        self.next_stop = slice_insts.min(self.cfg.max_insts);
+        self.run(entry, args)
+    }
+
+    /// The checkpoints of the last [`Vm::run_sliced`] run: entry `k - 1`
+    /// belongs to budget `k × slice_insts`. Empty after [`Vm::reset`].
+    pub fn checkpoints(&self) -> &[Checkpoint] {
+        &self.checkpoints
+    }
+
     // ---- helpers -------------------------------------------------------
+
+    /// The metrics a run returns if it stops now.
+    fn metrics_now(&self) -> RunMetrics {
+        RunMetrics {
+            cache: self.cache.stats(),
+            heap_shared: self.heap.stats(Section::Shared),
+            heap_isolated: self.heap.stats(Section::Isolated),
+            heap_init_calls: self.heap.init_calls(),
+            pa_sites: self.pa_site_count,
+            ..self.metrics
+        }
+    }
+
+    /// Instructions the block engine may meter before its next budget
+    /// check must go through [`Vm::check_budget`].
+    #[inline]
+    pub(crate) fn budget_left(&self) -> u64 {
+        self.next_stop.saturating_sub(self.metrics.insts)
+    }
+
+    /// The one budget check of both engines. `reach` is the smallest
+    /// budget that lets the run past this point: `insts + 1` before an
+    /// instruction, `len` before a bulk intrinsic of `len` bytes. Records
+    /// a checkpoint for every pending boundary below `reach` and traps
+    /// if `cfg.max_insts` is below it too. Counters must be flushed.
+    #[inline]
+    pub(crate) fn check_budget(&mut self, reach: u64) -> Result<(), Trap> {
+        if reach <= self.next_stop {
+            Ok(())
+        } else {
+            self.budget_stop(reach)
+        }
+    }
+
+    #[cold]
+    fn budget_stop(&mut self, reach: u64) -> Result<(), Trap> {
+        while self.next_stop < reach && self.next_stop < self.cfg.max_insts {
+            let cp = Checkpoint {
+                metrics: self.metrics_now(),
+                resident_bytes: self.mem.resident_bytes(),
+            };
+            self.checkpoints.push(cp);
+            self.next_stop = self
+                .next_stop
+                .saturating_add(self.slice_insts)
+                .min(self.cfg.max_insts);
+        }
+        if self.cfg.max_insts < reach {
+            Err(Trap::InstBudgetExhausted)
+        } else {
+            Ok(())
+        }
+    }
 
     /// Run the entry function on a dedicated thread with an explicit
     /// stack. Debug-build interpreter frames are large enough that the
@@ -1112,9 +1219,7 @@ impl<'m> Vm<'m> {
 
             // Phase 2: straight-line execution.
             for &iv in &insts[idx..] {
-                if self.metrics.insts >= self.cfg.max_insts {
-                    return Err(Trap::InstBudgetExhausted.into());
-                }
+                self.check_budget(self.metrics.insts + 1)?;
                 self.metrics.insts += 1;
                 // Borrow the instruction (legacy used to clone it here —
                 // one `Inst` clone per executed instruction).
@@ -1329,10 +1434,6 @@ impl<'m> Vm<'m> {
         }
         let arg = |n: usize| args.get(n).copied().unwrap_or(0);
         let uarg = |n: usize| arg(n) as u64;
-        // Bulk lengths beyond the instruction budget would materialize
-        // absurd host-side buffers (an adversarial `memset(p, 0, 2^60)`);
-        // treat them as budget exhaustion before allocating anything.
-        let bulk_limit = self.cfg.max_insts;
 
         // Helper-free writing: the borrow checker dislikes closures here.
         macro_rules! bulk_write {
@@ -1437,9 +1538,11 @@ impl<'m> Vm<'m> {
                 let dst = uarg(0);
                 let src = uarg(1);
                 let len = uarg(2);
-                if len > bulk_limit {
-                    return Err(Trap::InstBudgetExhausted.into());
-                }
+                // Bulk lengths beyond the instruction budget would
+                // materialize absurd host-side buffers (an adversarial
+                // `memset(p, 0, 2^60)`): a bulk op of `len` bytes needs
+                // a budget of `len`, checked before allocating anything.
+                self.check_budget(len)?;
                 let n = next_ic(self);
                 self.witness_ic_write(n, dst, len);
                 let bytes = match self.plan.attack_for(n) {
@@ -1618,9 +1721,7 @@ impl<'m> Vm<'m> {
                 let dst = uarg(0);
                 let byte = (arg(1) & 0xff) as u8;
                 let len = uarg(2);
-                if len > bulk_limit {
-                    return Err(Trap::InstBudgetExhausted.into());
-                }
+                self.check_budget(len)?;
                 let bytes = vec![byte; len as usize];
                 let _ = next_ic(self);
                 bulk_write!(dst, &bytes, false);
@@ -2131,6 +2232,83 @@ mod tests {
             vm.run("main", &[]).unwrap().exit,
             ExitReason::Trapped(Trap::InstBudgetExhausted)
         );
+    }
+
+    /// `main`: a 75-byte `memset` into a stack buffer, then a counting
+    /// loop of ~3 instructions per iteration to 40.
+    fn memset_then_loop() -> Module {
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
+        let buf = b.alloca(Ty::array(Ty::I8, 128));
+        let seven = b.const_i64(7);
+        let n = b.const_i64(75);
+        b.call_intrinsic(Intrinsic::Memset, vec![buf, seven, n], Ty::ptr(Ty::I8));
+        let body = b.new_block("body");
+        let exit = b.new_block("exit");
+        let zero = b.const_i64(0);
+        let one = b.const_i64(1);
+        let limit = b.const_i64(40);
+        let entry = b.current_block();
+        b.jmp(body);
+        b.switch_to(body);
+        let i = b.phi(vec![(entry, zero)]);
+        let next = b.add(i, one);
+        if let Some(Inst::Phi { incomings }) = b.func_mut().inst_mut(i) {
+            incomings.push((body, next));
+        }
+        let c = b.icmp(CmpPred::Slt, next, limit);
+        b.br(c, body, exit);
+        b.switch_to(exit);
+        b.ret(Some(next));
+        m.add_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn a_bulk_budget_trap_checkpoints_every_boundary_below_its_length() {
+        // Boundaries every 20 instructions; the memset (75 bytes) runs
+        // at instruction ~5, so budgets 20, 40 and 60 all stop inside it
+        // while 80 and up get past it and stop in the loop or finish.
+        let (slice, max) = (20, 400);
+        let m = memset_then_loop();
+        for engine in [Engine::Legacy, Engine::Block] {
+            let cfg = |max_insts| VmConfig {
+                max_insts,
+                engine,
+                profile: false,
+                ..VmConfig::default()
+            };
+            let mut sliced = Vm::new(&m, cfg(max), InputPlan::benign(1));
+            let end = sliced.run_sliced("main", &[], slice).unwrap();
+            let cps = sliced.checkpoints().to_vec();
+            assert!(
+                matches!(end.exit, ExitReason::Returned(40)),
+                "{:?}",
+                end.exit
+            );
+            assert!(cps.len() >= 5, "{engine:?}: {} checkpoints", cps.len());
+            for k in 1..=max / slice {
+                let mut fresh = Vm::new(&m, cfg(k * slice), InputPlan::benign(1));
+                let r = fresh.run("main", &[]).unwrap();
+                let got = (r.exit, r.metrics, fresh.memory().resident_bytes());
+                let want = match cps.get(k as usize - 1) {
+                    Some(c) => (
+                        ExitReason::Trapped(Trap::InstBudgetExhausted),
+                        c.metrics,
+                        c.resident_bytes,
+                    ),
+                    None => (end.exit, end.metrics, sliced.memory().resident_bytes()),
+                };
+                assert_eq!(got, want, "{engine:?}: budget {}", k * slice);
+                if k <= 3 {
+                    // Stopped by the bulk check: nothing written yet.
+                    assert_eq!(r.metrics.ic_writes, 0, "{engine:?}: budget {}", k * slice);
+                }
+            }
+            // All three bulk-trapped checkpoints were taken at one point.
+            assert_eq!(cps[0], cps[2]);
+            assert_ne!(cps[2], cps[3]);
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! connections over an instrumented request-handler module, with
 //!
 //! - **budget-sliced execution**: each event grants an in-flight request
-//!   one more instruction quantum; the VM re-runs the handler from its
-//!   deterministic start with the cumulative budget (restart-based
-//!   slicing), so a request either retires, stays in flight, or — when
-//!   the client abandoned it — is cancelled mid-handler;
+//!   one more instruction quantum, modelled as a re-run of the handler
+//!   from its deterministic start with the cumulative budget
+//!   (restart-based slicing), so a request either retires, stays in
+//!   flight, or — when the client abandoned it — is cancelled
+//!   mid-handler. The host runs each request once and reads every
+//!   slice's outcome off that run's budget checkpoints;
 //! - **per-request section-heap arenas** from `pythia-heap`: every
 //!   admission carves a shared-section arena, every connection holds an
 //!   isolated-section scratch buffer, and keep-alive churn (configurable
@@ -37,8 +39,8 @@ use crate::server::sched::{attack_timetable, ConnRing, EpochClock};
 use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap};
 use pythia_ir::{BinOp, CastKind, CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty};
 use pythia_vm::{
-    AttackSpec, CostModel, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, Trap,
-    Vm, VmConfig,
+    AttackSpec, CostModel, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan,
+    RunMetrics, Trap, Vm, VmConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -304,14 +306,18 @@ pub struct ServerRunStats {
     pub cancelled: u64,
     /// Retired requests that needed more than one slice.
     pub multi_slice: u64,
-    /// Total slices executed (VM runs, background traffic only).
+    /// Budget slices scheduled (background traffic only). A modelled
+    /// count: each is one restart of the handler in the slicing model;
+    /// the host runs a request once and reads its slices off budget
+    /// checkpoints ([`Vm::run_sliced`]).
     pub slices: u64,
-    /// VM runs of the whole loop: every slice plus two per attack (the
-    /// leak probe and the delivery).
+    /// VM runs of the restart model: every slice plus two per attack
+    /// (the leak probe and the delivery). A modelled count; the host
+    /// runs once per admitted request plus twice per attack.
     pub vm_instantiations: u64,
-    /// Instructions executed again because restart slicing re-runs a
-    /// request from scratch: each slice after a request's first replays
-    /// everything its previous slice executed.
+    /// Instructions the restart model executes again: each slice after
+    /// a request's first re-runs everything its previous slice
+    /// executed. A modelled count — the host replays nothing.
     pub replayed_insts: u64,
     /// Connections closed by keep-alive churn.
     pub closed: u64,
@@ -322,9 +328,10 @@ pub struct ServerRunStats {
     /// Wrapping sum of all retired responses (cheap cross-engine output
     /// checksum).
     pub response_sum: u64,
-    /// Instructions executed by background traffic.
+    /// Instructions background traffic executes under the restart
+    /// model (every slice's, replays included).
     pub insts: u64,
-    /// Simulated cycles of background traffic.
+    /// Simulated cycles of background traffic under the restart model.
     pub cycles: u64,
     /// Largest resident footprint of any single request VM.
     pub peak_resident_bytes: u64,
@@ -357,17 +364,37 @@ impl ServerRunStats {
     }
 }
 
-/// One in-flight request: everything needed to re-run its handler
-/// deterministically with a larger cumulative budget.
+/// What slice `k` of a request shows the loop: how a run at the
+/// cumulative budget `k × slice_insts` ends, its counters, and the
+/// resident bytes it leaves.
+#[derive(Debug, Clone, Copy)]
+struct SliceView {
+    exit: ExitReason,
+    insts: u64,
+    cycles: u64,
+    resident_bytes: u64,
+}
+
+/// One in-flight request. Its handler ran once, at admission, with the
+/// request's largest budget; every slice reads its restart's outcome off
+/// that run ([`Vm::run_sliced`]).
 struct Inflight {
-    reqno: u64,
-    input_seed: u64,
-    vm_seed: u64,
     slices: u64,
     /// Instructions the latest slice executed (replayed by the next).
     last_insts: u64,
     cancel_marked: bool,
     arena: Option<u64>,
+    /// Slice `k` for every boundary `k × slice_insts` the run crossed.
+    checkpoints: Vec<SliceView>,
+    /// Every later slice: the run's own end (`None` if it errored).
+    end: Option<SliceView>,
+}
+
+impl Inflight {
+    /// Slice `k` (1-based), or `None` where its run errors.
+    fn slice(&self, k: u64) -> Option<SliceView> {
+        self.checkpoints.get((k - 1) as usize).copied().or(self.end)
+    }
 }
 
 /// One connection slot.
@@ -466,7 +493,7 @@ pub fn run_event_loop(
         record_witness: witness,
         inline_exec: true,
     };
-    // One VM serves every leak probe, delivery and slice of the loop:
+    // One VM serves every request, leak probe and delivery of the loop:
     // `Vm::reset` before each run gives it exactly the state a fresh
     // build would, but keeps its page tables, cache simulator and
     // scratch pools instead of reallocating them per run.
@@ -578,37 +605,59 @@ pub fn run_event_loop(
                 if arena.is_none() {
                     stats.internal_errors += 1;
                 }
+                let cancel_marked = churn.gen_range(0..1000) < cfg.cancel_permille;
+                // The request's last slice: a cancel-marked request is
+                // abandoned at its first budget stop, any other gets up
+                // to `max_slices`. One run at that budget holds every
+                // earlier slice as a checkpoint.
+                let slices = if cancel_marked { 1 } else { cfg.max_slices };
+                vm.reset(
+                    vm_cfg(clock.epoch_seed(epoch), slices * cfg.slice_insts, false),
+                    InputPlan::benign(input_seed),
+                );
+                let args = [conn.conn_id as i64, reqno as i64];
+                let end = vm.run_sliced("handle_request", &args, cfg.slice_insts);
+                let view = |exit, m: &RunMetrics, resident_bytes| SliceView {
+                    exit,
+                    insts: m.insts,
+                    cycles: m.cycles(),
+                    resident_bytes,
+                };
                 Inflight {
-                    reqno,
-                    input_seed,
-                    vm_seed: clock.epoch_seed(epoch),
                     slices: 0,
                     last_insts: 0,
-                    cancel_marked: churn.gen_range(0..1000) < cfg.cancel_permille,
+                    cancel_marked,
                     arena,
+                    checkpoints: vm
+                        .checkpoints()
+                        .iter()
+                        .map(|c| {
+                            let exit = ExitReason::Trapped(Trap::InstBudgetExhausted);
+                            view(exit, &c.metrics, c.resident_bytes)
+                        })
+                        .collect(),
+                    end: end
+                        .ok()
+                        .map(|r| view(r.exit, &r.metrics, vm.memory().resident_bytes())),
                 }
             }
         };
 
+        // Restart semantics: slice `k` re-runs the handler from its start
+        // with the cumulative budget `k × slice_insts`; the counters below
+        // model that restart, read off the request's one run.
         fl.slices += 1;
         stats.slices += 1;
-        let budget = fl.slices * cfg.slice_insts;
-        vm.reset(
-            vm_cfg(fl.vm_seed, budget, false),
-            InputPlan::benign(fl.input_seed),
-        );
         stats.vm_instantiations += 1;
         stats.replayed_insts += fl.last_insts;
-        let outcome = vm.run("handle_request", &[conn.conn_id as i64, fl.reqno as i64]);
         let mut done = true;
-        match outcome {
-            Err(_) => stats.internal_errors += 1,
-            Ok(r) => {
-                fl.last_insts = r.metrics.insts;
-                stats.insts += r.metrics.insts;
-                stats.cycles += r.metrics.cycles();
-                stats.peak_resident_bytes =
-                    stats.peak_resident_bytes.max(vm.memory().resident_bytes());
+        match fl.slice(fl.slices) {
+            None => stats.internal_errors += 1,
+            Some(r) => {
+                fl.last_insts = r.insts;
+                stats.insts += r.insts;
+                stats.cycles += r.cycles;
+                stats.peak_resident_bytes = stats.peak_resident_bytes.max(r.resident_bytes);
                 match r.exit {
                     ExitReason::Trapped(Trap::InstBudgetExhausted) => {
                         if fl.cancel_marked {

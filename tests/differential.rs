@@ -13,9 +13,12 @@ use pythia::core::{instrument_with, PythiaError, Scheme};
 use pythia::heap::SectionConfig;
 use pythia::ir::{verify, CastKind, CmpPred, FunctionBuilder, Intrinsic, Module, Ty, ValueId};
 use pythia::vm::{
-    AttackSpec, DecodedModule, Engine, ExitReason, InputPlan, RunResult, Vm, VmConfig,
+    AttackSpec, Checkpoint, DecodedModule, Engine, ExitReason, InputPlan, RunMetrics, RunResult,
+    Trap, Vm, VmConfig,
 };
-use pythia::workloads::{server_module, ADMIN_MAGIC};
+use pythia::workloads::{generate, profile_by_name, server_module, SizeTier, ADMIN_MAGIC};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// One step of the random program recipe.
@@ -204,20 +207,59 @@ proptest! {
     }
 }
 
-/// The server module plus a `fault` entry that loads through a
-/// null-page pointer, instrumented under `scheme`.
+/// The server module plus two entries that load through a null-page
+/// pointer: `fault` at once, `late_fault` after serving one request;
+/// instrumented under `scheme`.
 fn reset_module(scheme: Scheme) -> Module {
     let mut m = server_module();
-    let mut b = FunctionBuilder::new("fault", vec![], Ty::I64);
-    let k = b.const_i64(8);
-    let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I64));
-    let v = b.load(p);
-    b.ret(Some(v));
-    m.add_function(b.finish());
+    let handler = m.func_by_name("handle_request").unwrap();
+    for late in [false, true] {
+        let name = if late { "late_fault" } else { "fault" };
+        let mut b = FunctionBuilder::new(name, vec![], Ty::I64);
+        let k = b.const_i64(8);
+        if late {
+            b.call(handler, vec![k, k], Ty::I64);
+        }
+        let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I64));
+        let v = b.load(p);
+        b.ret(Some(v));
+        m.add_function(b.finish());
+    }
     verify::verify_module(&m).expect("valid IR");
     let ctx = pythia::analysis::SliceContext::new(&m);
     let report = pythia::analysis::VulnerabilityReport::analyze(&ctx);
     instrument_with(&m, &ctx, &report, scheme).module
+}
+
+/// The overflow of `handle_request(3, 5)`'s request buffer, as the
+/// server scenario's injector splices it: junk from the buffer up to
+/// `role`, then the admin magic (input seed 7).
+fn overflow_plan(m: &Module) -> InputPlan {
+    let mut probe = Vm::new(
+        m,
+        VmConfig {
+            seed: 1,
+            max_call_depth: 64,
+            record_witness: true,
+            inline_exec: true,
+            ..VmConfig::default()
+        },
+        InputPlan::benign(7),
+    );
+    probe.run("handle_request", &[3, 5]).unwrap();
+    let w = probe.witness();
+    let at = |n: u64| w.ic_writes.iter().find(|e| e.0 == n).unwrap().1;
+    let (role, reqbuf) = (at(0), at(1));
+    let mut payload = vec![0x41u8; (role - reqbuf + 8) as usize];
+    let tail = payload.len() - 8;
+    payload[tail..].copy_from_slice(&ADMIN_MAGIC.to_le_bytes());
+    InputPlan::with_attack(
+        7,
+        AttackSpec {
+            ic_execution: 1,
+            payload,
+        },
+    )
 }
 
 /// Everything a run shows: its result, and the VM state the caller can
@@ -248,30 +290,7 @@ fn a_reset_vm_runs_exactly_like_a_fresh_one() {
         ..VmConfig::default()
     };
 
-    // The overflow payload, as the server scenario's injector splices it:
-    // junk from the request buffer up to `role`, then the admin magic.
-    let mut probe = Vm::new(
-        &m,
-        VmConfig {
-            record_witness: true,
-            ..server(1)
-        },
-        InputPlan::benign(7),
-    );
-    probe.run("handle_request", &request).unwrap();
-    let w = probe.witness();
-    let at = |n: u64| w.ic_writes.iter().find(|e| e.0 == n).unwrap().1;
-    let (role, reqbuf) = (at(0), at(1));
-    let mut payload = vec![0x41u8; (role - reqbuf + 8) as usize];
-    let tail = payload.len() - 8;
-    payload[tail..].copy_from_slice(&ADMIN_MAGIC.to_le_bytes());
-    let attack = InputPlan::with_attack(
-        7,
-        AttackSpec {
-            ic_execution: 1,
-            payload,
-        },
-    );
+    let attack = overflow_plan(&m);
     let bad_heap = SectionConfig {
         base: u64::MAX - 0xf,
         ..SectionConfig::default()
@@ -365,9 +384,10 @@ fn a_reset_vm_runs_exactly_like_a_fresh_one() {
 /// The CPA server variant signs and authenticates on every use, so its
 /// runs lean on the host buffers a reset keeps: the PAC memo (never
 /// flushed) and the PA-site bitset (cleared). One VM reset through
-/// changing seeds — each re-keying the PA context — must match a fresh
-/// VM in every metric (`pa_insts`, `pa_sites`, `cycles`), under both
-/// engines.
+/// changing seeds — each re-keying the PA context — and alternating
+/// `run_sliced` with plain runs must match a fresh VM in every metric
+/// (`pa_insts`, `pa_sites`, `cycles`) and every checkpoint, under both
+/// engines: a reset leaves no checkpoint state behind.
 #[test]
 fn a_reset_cpa_vm_runs_exactly_like_a_fresh_one_across_seeds() {
     let m = reset_module(Scheme::Cpa);
@@ -381,24 +401,204 @@ fn a_reset_cpa_vm_runs_exactly_like_a_fresh_one_across_seeds() {
             ..VmConfig::default()
         };
         let mut reused = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(0), InputPlan::benign(0));
-        for (i, seed) in [1u64, 2, 1, 3, 3, 2].into_iter().enumerate() {
+        for (i, seed) in [1u64, 2, 1, 3, 3, 2, 1].into_iter().enumerate() {
             let request = [seed as i64, i as i64];
             let plan = InputPlan::benign(7 + seed);
+            let sliced = i % 2 == 0;
+            let run = |vm: &mut Vm<'_>| {
+                let r = if sliced {
+                    vm.run_sliced("handle_request", &request, 700)
+                } else {
+                    vm.run("handle_request", &request)
+                };
+                (r.unwrap(), vm.checkpoints().to_vec())
+            };
             let mut fresh = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(seed), plan.clone());
-            let want = fresh.run("handle_request", &request).unwrap();
+            let (want, want_cps) = run(&mut fresh);
             assert!(
                 matches!(want.exit, ExitReason::Returned(_)),
                 "run {i} ({engine:?}): {:?}",
                 want.exit
             );
             assert!(want.metrics.pa_insts > 0 && want.metrics.pa_sites > 0);
+            assert_eq!(sliced, !want_cps.is_empty(), "run {i} ({engine:?})");
             reused.reset(cfg(seed), plan);
-            let got = reused.run("handle_request", &request).unwrap();
+            let (got, got_cps) = run(&mut reused);
             assert_eq!(
-                (got.exit, got.metrics, &got.profile),
-                (want.exit, want.metrics, &want.profile),
+                (got.exit, got.metrics, &got.profile, got_cps),
+                (want.exit, want.metrics, &want.profile, want_cps),
                 "run {i} ({engine:?}): reset diverged from fresh"
             );
         }
     }
+}
+
+/// How a run ended, as a budget slice sees it: exit, every metric, and
+/// the resident bytes the run leaves.
+type SliceEnd = (ExitReason, RunMetrics, u64);
+
+/// Under both engines, run `entry` once through `Vm::run_sliced` at
+/// stride `slice` (the largest budget is `cfg.max_insts`), then a fresh
+/// VM at every budget `k × slice` up to it. Each fresh run must end
+/// exactly as checkpoint `k - 1` records, or — past the last checkpoint
+/// — as the sliced run itself, and both engines must record the same
+/// checkpoints and end. Returns them.
+fn assert_sliced_matches_fresh(
+    m: &Module,
+    cfg: &VmConfig,
+    plan: &InputPlan,
+    (entry, args): (&str, &[i64]),
+    slice: u64,
+    what: &str,
+) -> (Vec<Checkpoint>, SliceEnd) {
+    let decoded = Arc::new(DecodedModule::new(m));
+    let mut agreed: Option<(Vec<Checkpoint>, SliceEnd)> = None;
+    for engine in [Engine::Legacy, Engine::Block] {
+        let at = |max_insts| VmConfig {
+            max_insts,
+            engine,
+            ..cfg.clone()
+        };
+        let mut sliced = Vm::with_decoded(m, Arc::clone(&decoded), at(cfg.max_insts), plan.clone());
+        let r = sliced
+            .run_sliced(entry, args, slice)
+            .unwrap_or_else(|e| panic!("{what} {engine:?}: {e}"));
+        let end = (r.exit, r.metrics, sliced.memory().resident_bytes());
+        let cps = sliced.checkpoints().to_vec();
+        for k in 1..=cfg.max_insts.div_ceil(slice) {
+            let budget = (k * slice).min(cfg.max_insts);
+            let mut fresh = Vm::with_decoded(m, Arc::clone(&decoded), at(budget), plan.clone());
+            let r = fresh
+                .run(entry, args)
+                .unwrap_or_else(|e| panic!("{what} {engine:?}, budget {budget}: {e}"));
+            let got = (r.exit, r.metrics, fresh.memory().resident_bytes());
+            let want = match cps.get(k as usize - 1) {
+                Some(c) => (
+                    ExitReason::Trapped(Trap::InstBudgetExhausted),
+                    c.metrics,
+                    c.resident_bytes,
+                ),
+                None => end,
+            };
+            assert_eq!(
+                got, want,
+                "{what} {engine:?}: budget {budget} diverged from run_sliced"
+            );
+        }
+        if let Some(legacy) = &agreed {
+            assert_eq!(legacy, &(cps.clone(), end), "{what}: the engines disagree");
+        }
+        agreed = Some((cps, end));
+    }
+    agreed.unwrap()
+}
+
+/// The VM settings the server's event loop runs a request with.
+fn request_cfg(seed: u64, max_insts: u64) -> VmConfig {
+    VmConfig {
+        seed,
+        max_insts,
+        max_call_depth: 64,
+        profile: false,
+        inline_exec: true,
+        ..VmConfig::default()
+    }
+}
+
+/// One sliced server request equals a restart at every cumulative
+/// budget: every scheme variant, both engines, random requests, seeds
+/// and strides.
+#[test]
+fn run_sliced_matches_a_fresh_run_at_every_budget_on_the_server() {
+    let m = server_module();
+    let ctx = pythia::analysis::SliceContext::new(&m);
+    let report = pythia::analysis::VulnerabilityReport::analyze(&ctx);
+    let variants: Vec<(Scheme, Module)> = Scheme::ALL
+        .iter()
+        .map(|&s| (s, instrument_with(&m, &ctx, &report, s).module))
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0x51_1CE5);
+    let (mut checkpoints, mut multi, mut trapped) = (0, 0, 0);
+    for draw in 0..32 {
+        let conn = rng.gen_range(0..64i64);
+        let req = rng.gen_range(0..4096i64);
+        let seed = rng.gen::<u64>();
+        let slice = rng.gen_range(250..1600u64);
+        for (scheme, vm_module) in &variants {
+            let (cps, end) = assert_sliced_matches_fresh(
+                vm_module,
+                &request_cfg(seed, 12 * slice),
+                &InputPlan::benign(seed ^ 0x5EED),
+                ("handle_request", &[conn, req]),
+                slice,
+                &format!("draw {draw} {scheme} (conn {conn}, req {req}, slice {slice})"),
+            );
+            checkpoints += cps.len();
+            multi += usize::from(cps.len() > 1);
+            trapped += usize::from(end.0 == ExitReason::Trapped(Trap::InstBudgetExhausted));
+        }
+    }
+    // The draws must exercise what slicing is about: many boundaries,
+    // requests that span several, and requests cut off at the top.
+    assert!(
+        checkpoints > 250 && multi > 50,
+        "{checkpoints} checkpoints, {multi} multi"
+    );
+    assert!(trapped > 0, "no request ran out of its largest budget");
+}
+
+/// A generated suite module at a stride of 37 instructions, so
+/// boundaries land all over the run: inside callees and right after phi
+/// prologues (which meter without a budget check, so a boundary they
+/// jump over stops the next checked instruction).
+#[test]
+fn run_sliced_matches_a_fresh_run_at_a_small_stride_on_a_suite_module() {
+    let profile = profile_by_name("mcf").unwrap().at_tier(SizeTier::Smoke);
+    let m = generate(&profile);
+    let cfg = VmConfig {
+        max_insts: 37 * 80,
+        profile: false,
+        inline_exec: true,
+        ..VmConfig::default()
+    };
+    let plan = InputPlan::benign(3);
+    let (cps, _) = assert_sliced_matches_fresh(&m, &cfg, &plan, ("main", &[]), 37, "mcf");
+    assert!(cps.len() >= 40, "{} checkpoints", cps.len());
+    let overrun = cps.iter().zip(1..).any(|(c, k)| c.metrics.insts > 37 * k);
+    assert!(overrun, "no boundary fell inside a phi prologue");
+}
+
+/// Runs that end in a trap other than the budget after crossing some
+/// boundaries: a memory fault, and a Pythia canary detection.
+#[test]
+fn run_sliced_matches_a_fresh_run_when_the_run_faults_after_checkpoints() {
+    let m = reset_module(Scheme::Pythia);
+    let plan = InputPlan::benign(7);
+    let (cps, end) = assert_sliced_matches_fresh(
+        &m,
+        &request_cfg(5, 300 * 40),
+        &plan,
+        ("late_fault", &[]),
+        300,
+        "late_fault",
+    );
+    assert!(cps.len() >= 3, "{} checkpoints", cps.len());
+    assert!(
+        matches!(end.0, ExitReason::Trapped(Trap::MemoryFault { .. })),
+        "{:?}",
+        end.0
+    );
+
+    // The canary check right after the overflowing read stops the run
+    // early: a finer stride.
+    let plan = overflow_plan(&m);
+    let request = ("handle_request", &[3i64, 5][..]);
+    let (cps, end) =
+        assert_sliced_matches_fresh(&m, &request_cfg(5, 7 * 20), &plan, request, 7, "canary");
+    assert!(cps.len() >= 3, "{} checkpoints", cps.len());
+    assert!(
+        matches!(end.0, ExitReason::Trapped(Trap::PacAuthFailure { .. })),
+        "{:?}",
+        end.0
+    );
 }
