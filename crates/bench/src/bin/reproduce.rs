@@ -62,7 +62,8 @@
 //! either exits 2 with the valid spellings before anything runs.
 //!
 //! `--engine <legacy|block>` selects the VM execution engine (default:
-//! the block-cached engine, or whatever `PYTHIA_ENGINE` says). Both
+//! the block-cached engine, or whatever `PYTHIA_ENGINE` says; an unknown
+//! spelling of either exits 2 naming the valid ones). Both
 //! engines are observation-equivalent — `report.md` is byte-identical
 //! either way; only the wall-clock numbers in `BENCH_suite.json` and
 //! `profile.md` move. `scripts/check.sh` and `scripts/bench.sh` use
@@ -115,10 +116,7 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
     let path = std::path::Path::new(dir).join("BENCH_server.json");
     std::fs::write(&path, &run.json).expect("write BENCH_server.json");
     println!("{}", run.table);
-    let engine = match spec.engine {
-        pythia_vm::Engine::Legacy => "legacy",
-        pythia_vm::Engine::Block => "block",
-    };
+    let engine = spec.engine.name();
     for r in &run.runs {
         eprintln!(
             "server[{engine}] {}: {:.0} wall req/s ({} requests, {:.2}s)",
@@ -145,9 +143,13 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
 }
 
 fn main() {
-    // A typo'd context policy or budget must not silently run the
-    // default solver: reject it before anything runs.
-    if let Err(e) = pythia_analysis::CtxPolicy::from_env() {
+    // A typo'd context policy, budget or engine must not silently run
+    // the default: reject it before anything runs.
+    let env_errors = [
+        pythia_analysis::CtxPolicy::from_env().err(),
+        pythia_vm::Engine::try_from_env().err(),
+    ];
+    if let Some(e) = env_errors.into_iter().flatten().next() {
         eprintln!("reproduce: {e}");
         std::process::exit(2);
     }
@@ -176,11 +178,10 @@ fn main() {
         }
         let engine = args.remove(i + 1);
         args.remove(i);
-        match engine.as_str() {
-            "legacy" => engine_override = Some(pythia_vm::Engine::Legacy),
-            "block" => engine_override = Some(pythia_vm::Engine::Block),
-            other => {
-                eprintln!("unknown engine `{other}` (expected legacy|block)");
+        match pythia_vm::Engine::parse(&engine) {
+            Ok(e) => engine_override = Some(e),
+            Err(e) => {
+                eprintln!("reproduce: {e}");
                 std::process::exit(2);
             }
         }

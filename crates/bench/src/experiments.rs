@@ -204,19 +204,7 @@ pub fn tier_vm_config(tier: SizeTier) -> VmConfig {
     cfg
 }
 
-/// Number of suite workers: `PYTHIA_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-pub fn worker_count() -> usize {
-    match std::env::var("PYTHIA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
+pub use pythia_core::worker_count;
 
 /// Peak number of completed-but-unconsumed evaluations the streaming
 /// runner ever buffered — the quantity its backpressure bounds.

@@ -37,8 +37,8 @@ pub mod security;
 
 pub use campaign::{run_campaign, run_campaign_with, AttackOutcome, CampaignResult};
 pub use pipeline::{
-    evaluate, instrument_certified, AnalysisSummary, BenchEvaluation, Phase, PhaseSpan,
-    SchemeResult, Timings,
+    evaluate, instrument_certified, worker_count, AnalysisSummary, BenchEvaluation, Phase,
+    PhaseSpan, SchemeResult, Timings,
 };
 pub use pythia_ir::{DetectionKind, ErrorContext, PythiaError};
 pub use pythia_passes::{instrument, instrument_with, InstrumentationStats, Scheme};

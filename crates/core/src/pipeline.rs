@@ -341,14 +341,18 @@ impl BenchEvaluation {
     }
 }
 
-/// Whether [`evaluate`] should run its per-scheme workers serially:
-/// `PYTHIA_THREADS=1` pins the whole harness to one lane, and on one
-/// lane concurrency only distorts per-phase wall-clock attribution.
-fn serial_schemes() -> bool {
-    std::env::var("PYTHIA_THREADS")
+/// Number of workers the harness runs: `PYTHIA_THREADS` when set to a
+/// positive integer, otherwise the machine's available parallelism.
+pub fn worker_count() -> usize {
+    match std::env::var("PYTHIA_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
-        == Some(1)
+    {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
 }
 
 /// Instrument `module` with `scheme` from a shared analysis
@@ -463,79 +467,70 @@ pub fn evaluate(
     // the join below always succeeds and the panic payload is converted
     // into a typed error.
     let worker = |scheme: Scheme| -> Result<(SchemeResult, [f64; 4]), PythiaError> {
-        {
-            let ctx = &ctx;
-            let report = &report;
-            let pruned = &pruned;
-            {
-                    let t_inst = Instant::now();
-                    // Dry run against the unpruned report: its stats are the
-                    // "pa_static before" column of the precision tables.
-                    let unpruned_pa = instrument_with(module, ctx, report, scheme)
-                        .stats
-                        .pa_total();
-                    let inst = instrument_with(module, ctx, pruned, scheme);
-                    let instrument_secs = t_inst.elapsed().as_secs_f64();
-                    // Static certification gate: the instrumented variant
-                    // must satisfy every protection invariant before it is
-                    // allowed anywhere near the VM. A violation is a setup
-                    // error, not a measurement. Timed as its own phase —
-                    // folding it into instrumentation under-reported where
-                    // evaluation time goes.
-                    let t_lint = Instant::now();
-                    let lint = lint_instrumented(module, ctx, pruned, &inst.module, scheme);
-                    if !lint.is_clean() {
-                        return Err(lint.into_setup_error());
-                    }
-                    let lint_checks = lint.checks;
-                    let lint_secs = t_lint.elapsed().as_secs_f64();
-                    // Decode phase: lower the instrumented module into the
-                    // VM's block-cached form. Under the block engine every
-                    // block is force-decoded here so the execute span stays
-                    // pure execution; the legacy engine only needs the
-                    // frame layouts (decode stays cheap and lazy).
-                    let t_decode = Instant::now();
-                    let decoded = Arc::new(DecodedModule::new(&inst.module));
-                    if cfg.engine == Engine::Block {
-                        decoded.decode_all(&inst.module);
-                    }
-                    let decode_secs = t_decode.elapsed().as_secs_f64();
-                    // VM construction (memory image, cache model, shadow
-                    // state) is setup, not execution — keeping it outside
-                    // the execute span keeps retirement rates comparable
-                    // across engines with very different execute times.
-                    let mut vm =
-                        Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
-                    let t_exec = Instant::now();
-                    let r = vm.run("main", &[])?;
-                    let execute_secs = t_exec.elapsed().as_secs_f64();
-                    Ok((
-                        SchemeResult {
-                            scheme,
-                            stats: inst.stats,
-                            exit: r.exit,
-                            metrics: r.metrics,
-                            profile: r.profile,
-                            lint_checks,
-                            pa_static_unpruned: unpruned_pa,
-                        },
-                        [instrument_secs, lint_secs, decode_secs, execute_secs],
-                    ))
-            }
+        let t_inst = Instant::now();
+        // Dry run against the unpruned report: its stats are the "pa_static
+        // before" column of the precision tables.
+        let unpruned_pa = instrument_with(module, &ctx, &report, scheme)
+            .stats
+            .pa_total();
+        let inst = instrument_with(module, &ctx, &pruned, scheme);
+        let instrument_secs = t_inst.elapsed().as_secs_f64();
+        // Static certification gate: the instrumented variant must satisfy
+        // every protection invariant before it is allowed anywhere near the
+        // VM. A violation is a setup error, not a measurement. Timed as its
+        // own phase — folding it into instrumentation under-reported where
+        // evaluation time goes.
+        let t_lint = Instant::now();
+        let lint = lint_instrumented(module, &ctx, &pruned, &inst.module, scheme);
+        if !lint.is_clean() {
+            return Err(lint.into_setup_error());
         }
+        let lint_checks = lint.checks;
+        let lint_secs = t_lint.elapsed().as_secs_f64();
+        // Decode phase: lower the instrumented module into the VM's
+        // block-cached form. Under the block engine every block is
+        // force-decoded here so the execute span stays pure execution; the
+        // legacy engine only needs the frame layouts (decode stays cheap
+        // and lazy).
+        let t_decode = Instant::now();
+        let decoded = Arc::new(DecodedModule::new(&inst.module));
+        if cfg.engine == Engine::Block {
+            decoded.decode_all(&inst.module);
+        }
+        let decode_secs = t_decode.elapsed().as_secs_f64();
+        // VM construction (memory image, cache model, shadow state) is
+        // setup, not execution — keeping it outside the execute span keeps
+        // retirement rates comparable across engines with very different
+        // execute times.
+        let mut vm = Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
+        let t_exec = Instant::now();
+        let r = vm.run("main", &[])?;
+        let execute_secs = t_exec.elapsed().as_secs_f64();
+        Ok((
+            SchemeResult {
+                scheme,
+                stats: inst.stats,
+                exit: r.exit,
+                metrics: r.metrics,
+                profile: r.profile,
+                lint_checks,
+                pa_static_unpruned: unpruned_pa,
+            },
+            [instrument_secs, lint_secs, decode_secs, execute_secs],
+        ))
     };
     let worker = &worker;
 
-    // On a single-CPU measurement box (`PYTHIA_THREADS=1`) the variants
-    // run serially: concurrent variants time-share the core, so every
-    // execute span absorbs the other variants' work. That both inflates
-    // the phase table and — because the dilution lands proportionally
-    // harder on short spans — compresses cross-engine retirement ratios.
-    // Workers are deterministic and joined in spawn order, so the
-    // results (and any report rendered from them) are identical either
-    // way; only the timings change.
+    // On one worker lane (`PYTHIA_THREADS=1`, or a single-CPU box) the
+    // variants run serially: concurrent variants time-share the core, so
+    // every execute span absorbs the other variants' work. That both
+    // inflates the phase table and — because the dilution lands
+    // proportionally harder on short spans — compresses cross-engine
+    // retirement ratios. Workers are deterministic and joined in spawn
+    // order, so the results (and any report rendered from them) are
+    // identical either way; only the timings change.
     type Joined = Result<(SchemeResult, [f64; 4]), PythiaError>;
-    let outcomes: Vec<(Scheme, Joined)> = if serial_schemes() {
+    let outcomes: Vec<(Scheme, Joined)> = if worker_count() == 1 {
         all.into_iter()
             .map(|scheme| {
                 let joined = catch_unwind(AssertUnwindSafe(|| worker(scheme)))

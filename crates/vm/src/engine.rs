@@ -11,9 +11,9 @@
 //! `scripts/check.sh` engine gate hold it to that.
 
 use crate::decode::{wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI};
-use crate::memory::layout;
 use crate::vm::{eval_bin, Halt, Trap, Vm};
 use pythia_ir::{BlockId, FuncId, PythiaError};
+use std::sync::Arc;
 
 /// Read one pre-resolved operand: an unconditional indexed load
 /// (constants are pre-stored into their slots at frame setup).
@@ -22,71 +22,66 @@ fn read(values: &[i64], o: u32) -> i64 {
     values[o as usize]
 }
 
+/// One simulated call frame of the block engine: its function, where
+/// its values (`vbase..` in the value stack) and stack objects (`sbase..`)
+/// live, the caller's slot for its return value, and where it executes:
+/// op `pc` of `head`'s superblock (0 enters `head` afresh, phis and all),
+/// in block `cur`, entered from `prev`.
+#[derive(Clone, Copy)]
+struct CallFrame {
+    fid: FuncId,
+    vbase: usize,
+    sbase: u64,
+    ret: u32,
+    head: BlockId,
+    cur: BlockId,
+    prev: Option<BlockId>,
+    pc: usize,
+}
+
 impl<'m> Vm<'m> {
-    /// Block-engine function execution: frame setup from the dense
-    /// [`FrameLayout`](crate::decode::FrameLayout), then the decoded block
-    /// loop. Mirrors `exec_function` side effect by side effect.
-    pub(crate) fn exec_function_block(
-        &mut self,
-        fid: FuncId,
-        args: &[i64],
-        depth: usize,
-    ) -> Result<i64, Halt> {
-        // One Arc clone per entry; the recursion below borrows it, so a
-        // call-heavy run does not pay two atomic RMWs per frame.
-        let dm = self.decoded.clone();
-        self.exec_function_decoded(&dm, fid, args, depth)
+    /// Block-engine run of `fid`: a loop over explicit frames, so a
+    /// simulated call costs no host stack. Mirrors `exec_function` side
+    /// effect by side effect.
+    pub(crate) fn exec_block(&mut self, fid: FuncId, args: &[i64]) -> Result<i64, Halt> {
+        let dm = Arc::clone(&self.decoded);
+        let mut stack = std::mem::take(&mut self.value_stack);
+        let result = self.run_frames(&dm, &mut stack, fid, args);
+        // A trap, an error or `exit` ends the run with frames still live;
+        // nothing reads their state afterwards (`Vm::reset` rebuilds it).
+        stack.clear();
+        self.value_stack = stack;
+        result
     }
 
-    fn exec_function_decoded(
+    /// Enter `fid` as frame number `depth`: the legacy `exec_function`
+    /// checks and stack frame, then value slots on top of `stack`, zeroed
+    /// with the constants stored. The caller writes the arguments.
+    fn push_frame(
         &mut self,
         dm: &DecodedModule,
-        fid: FuncId,
-        args: &[i64],
+        stack: &mut Vec<i64>,
         depth: usize,
-    ) -> Result<i64, Halt> {
-        if depth >= self.cfg.max_call_depth {
-            return Err(Trap::CallDepthExceeded.into());
-        }
+        fid: FuncId,
+        ret: u32,
+    ) -> Result<CallFrame, Halt> {
         let df = &dm.funcs[fid.0 as usize];
-        let mut values = self.frame_pool.pop().unwrap_or_default();
-        values.clear();
-        values.resize(df.num_values, 0);
-        let base = self.sp;
-        let size = df.layout.frame_size;
-        if base.saturating_add(size) > layout::STACK_BASE + layout::STACK_SIZE {
-            return Err(Trap::StackOverflow.into());
-        }
-        self.sp = base + size;
-        if size > 0 {
-            self.write_zeros(base, size)?;
-        }
-        for slot in &df.layout.objects {
-            self.stack_objects
-                .insert(base.saturating_add(slot.off), slot.size);
-        }
-        for (i, &a) in args.iter().enumerate().take(df.num_params) {
-            values[i] = a;
-        }
+        let sbase = self.enter_frame(depth, &df.layout)?;
+        let vbase = stack.len();
+        stack.resize(vbase + df.num_values, 0);
         for &(slot, c) in df.consts.iter() {
-            values[slot as usize] = c;
+            stack[vbase + slot as usize] = c;
         }
-
-        let result = self.exec_blocks_decoded(fid, dm, &mut values, base, depth);
-
-        for slot in &df.layout.objects {
-            self.stack_objects.remove(&base.saturating_add(slot.off));
-        }
-        // Removing granules from an empty shadow map is a no-op; skipping
-        // it keeps the non-DFI schemes off the hash path entirely.
-        if size > 0 && !self.shadow.is_empty() {
-            for g in (base >> 3)..=((base + size - 1) >> 3) {
-                self.shadow.remove(&g);
-            }
-        }
-        self.sp = base;
-        self.frame_pool.push(values);
-        result
+        Ok(CallFrame {
+            fid,
+            vbase,
+            sbase,
+            ret,
+            head: BlockId(0),
+            cur: BlockId(0),
+            prev: None,
+            pc: 0,
+        })
     }
 
     /// Run one phi prologue. Metering per phi matches the legacy phase-1
@@ -103,7 +98,7 @@ impl<'m> Vm<'m> {
                 if copies.is_empty() {
                     return Ok(());
                 }
-                let mut scratch = std::mem::take(&mut self.phi_scratch);
+                let mut scratch = std::mem::take(&mut self.scratch);
                 scratch.clear();
                 for (_, src) in copies.iter() {
                     scratch.push(read(values, *src));
@@ -115,7 +110,7 @@ impl<'m> Vm<'m> {
                 for ((dst, _), v) in copies.iter().zip(scratch.iter()) {
                     values[*dst as usize] = *v;
                 }
-                self.phi_scratch = scratch;
+                self.scratch = scratch;
                 Ok(())
             }
             PhiPrologue::Error {
@@ -143,36 +138,45 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// The dispatch loop over the running frame `fr`; `frames` holds its
+    /// callers, parked at the op after their call. A call parks `fr` and
+    /// enters the callee; a return resumes the caller, or ends the run
+    /// from the entry frame.
     #[allow(clippy::too_many_lines)]
-    fn exec_blocks_decoded(
+    fn run_frames(
         &mut self,
-        fid: FuncId,
         dm: &DecodedModule,
-        values: &mut [i64],
-        fbase: u64,
-        depth: usize,
+        stack: &mut Vec<i64>,
+        fid: FuncId,
+        args: &[i64],
     ) -> Result<i64, Halt> {
         let m = self.module;
-        let df = &dm.funcs[fid.0 as usize];
-        let mut block = BlockId(0);
-        let mut prev: Option<BlockId> = None;
-
+        let mut frames: Vec<CallFrame> = Vec::new();
+        let mut fr = self.push_frame(dm, stack, 0, fid, 0)?;
+        let mut df = &dm.funcs[fid.0 as usize];
+        for (p, &a) in stack[fr.vbase..][..df.num_params].iter_mut().zip(args) {
+            *p = a;
+        }
+        let mut values = &mut stack[fr.vbase..];
         let mut trace_on = self.trace_on;
         'blocks: loop {
-            let db = dm.block(m, fid, block);
-            match prev {
-                None => self.run_prologue(&db.entry, values, &df.name)?,
-                Some(p) => {
-                    // `prev` always comes from an executed terminator in a
-                    // real predecessor, so the lookup only misses when the
-                    // block has no phis (empty prologue) anyway.
-                    if let Some((_, pl)) = db.prologues.iter().find(|(b, _)| *b == p.0) {
-                        self.run_prologue(pl, values, &df.name)?;
+            let db = dm.block(m, fr.fid, fr.head);
+            let start = std::mem::take(&mut fr.pc);
+            if start == 0 {
+                fr.cur = fr.head;
+                match fr.prev {
+                    None => self.run_prologue(&db.entry, values, &df.name)?,
+                    Some(p) => {
+                        // `prev` always comes from an executed terminator
+                        // in a real predecessor, so the lookup only misses
+                        // when the block has no phis (empty prologue).
+                        if let Some((_, pl)) = db.prologues.iter().find(|(b, _)| *b == p.0) {
+                            self.run_prologue(pl, values, &df.name)?;
+                        }
                     }
                 }
             }
 
-            let mut cur = block;
             // Instruction count and base-cost charge are accumulated in
             // registers (`k`, `cyc`) and flushed to `self.metrics` at
             // every point something else could observe or extend them:
@@ -238,7 +242,7 @@ impl<'m> Vm<'m> {
                     budget!();
                     k += 1;
                     if trace_on {
-                        self.push_trace(fid, $op.iv, crate::decode::MNEMONICS[$op.mn as usize]);
+                        self.push_trace(fr.fid, $op.iv, crate::decode::MNEMONICS[$op.mn as usize]);
                         #[allow(unused_assignments)]
                         {
                             trace_on = self.trace_on;
@@ -248,15 +252,15 @@ impl<'m> Vm<'m> {
                     self.op_counts[$op.mn as usize] += 1;
                 };
             }
-            for op in db.ops.iter() {
+            for (i, op) in db.ops.iter().enumerate().skip(start) {
                 match &op.kind {
                     OpKind::Enter {
                         pred,
                         block: b,
                         prologue,
                     } => {
-                        prev = Some(*pred);
-                        cur = *b;
+                        fr.prev = Some(*pred);
+                        fr.cur = *b;
                         // A phi-less boundary does nothing at all — no
                         // metering, no flush, the accumulators keep
                         // rolling through the chained block.
@@ -281,7 +285,7 @@ impl<'m> Vm<'m> {
                     }
                     OpKind::Alloca { off } => {
                         meter!(op);
-                        values[op.iv.0 as usize] = fbase.saturating_add(*off) as i64;
+                        values[op.iv.0 as usize] = fr.sbase.saturating_add(*off) as i64;
                     }
                     OpKind::AllocaMissing => {
                         meter!(op);
@@ -346,7 +350,7 @@ impl<'m> Vm<'m> {
                     }
                     OpKind::LatePhi { incomings } => {
                         meter!(op);
-                        let pred = try_f!(prev.ok_or_else(|| {
+                        let pred = try_f!(fr.prev.ok_or_else(|| {
                             PythiaError::setup("phi in entry block (module not verified?)")
                                 .with_function(df.name.clone())
                                 .with_instruction(op.iv.0)
@@ -363,7 +367,7 @@ impl<'m> Vm<'m> {
                         meter!(op);
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
-                        values[op.iv.0 as usize] = self.pa_sign(fid, op.iv, *key, v, md) as i64;
+                        values[op.iv.0 as usize] = self.pa_sign(fr.fid, op.iv, *key, v, md) as i64;
                     }
                     OpKind::PacAuth {
                         value,
@@ -374,12 +378,12 @@ impl<'m> Vm<'m> {
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
                         values[op.iv.0 as usize] =
-                            try_f!(self.pa_auth(fid, op.iv, *key, v, md)) as i64;
+                            try_f!(self.pa_auth(fr.fid, op.iv, *key, v, md)) as i64;
                     }
                     OpKind::PacStrip { value } => {
                         meter!(op);
                         let v = read(values, *value) as u64;
-                        values[op.iv.0 as usize] = self.pa_strip(fid, op.iv, v) as i64;
+                        values[op.iv.0 as usize] = self.pa_strip(fr.fid, op.iv, v) as i64;
                     }
                     OpKind::SetDef { ptr, def_id } => {
                         meter!(op);
@@ -407,37 +411,40 @@ impl<'m> Vm<'m> {
                     OpKind::Call(call) => {
                         meter!(op);
                         self.metrics.calls += 1;
-                        let mut argv = self.argv_pool.pop().unwrap_or_default();
-                        argv.clear();
-                        argv.extend(call.args.iter().map(|&a| read(values, a)));
                         // Callees check the budget and meter instructions
                         // themselves: hand them an exact count.
                         flush!();
-                        let ret = match &call.callee {
-                            DecodedCallee::Func(target) => {
-                                self.exec_function_decoded(dm, *target, &argv, depth + 1)?
-                            }
-                            DecodedCallee::Intrinsic(i) => {
-                                self.exec_intrinsic(fid, op.iv, *i, &argv)?
+                        let target = match &call.callee {
+                            DecodedCallee::Func(target) => *target,
+                            DecodedCallee::Intrinsic(intr) => {
+                                // Intrinsics never re-enter the engine, so
+                                // one scratch serves every call.
+                                let mut argv = std::mem::take(&mut self.scratch);
+                                argv.clear();
+                                argv.extend(call.args.iter().map(|&a| read(values, a)));
+                                let r = self.exec_intrinsic(fr.fid, op.iv, *intr, &argv);
+                                self.scratch = argv;
+                                values[op.iv.0 as usize] = r?;
+                                // `exit` ends the whole run.
+                                if self.halted.is_some() {
+                                    return Ok(0);
+                                }
+                                remaining = self.budget_left();
+                                continue;
                             }
                             DecodedCallee::Indirect(v) => {
-                                let addr = read(values, *v) as u64;
-                                if addr < 0x4000 || !(addr - 0x4000).is_multiple_of(16) {
-                                    return Err(Trap::BadIndirectCall.into());
-                                }
-                                let target = FuncId(((addr - 0x4000) / 16) as u32);
-                                if target.0 as usize >= m.functions().len() {
-                                    return Err(Trap::BadIndirectCall.into());
-                                }
-                                self.exec_function_decoded(dm, target, &argv, depth + 1)?
+                                self.indirect_target(read(values, *v) as u64)?
                             }
                         };
-                        self.argv_pool.push(argv);
-                        values[op.iv.0 as usize] = ret;
-                        remaining = self.budget_left();
-                        if self.halted.is_some() {
-                            return Ok(0);
+                        frames.push(CallFrame { pc: i + 1, ..fr });
+                        let caller = fr.vbase;
+                        fr = self.push_frame(dm, stack, frames.len(), target, op.iv.0)?;
+                        df = &dm.funcs[target.0 as usize];
+                        for (j, &a) in call.args.iter().enumerate().take(df.num_params) {
+                            stack[fr.vbase + j] = stack[caller + a as usize];
                         }
+                        values = &mut stack[fr.vbase..];
+                        continue 'blocks;
                     }
                     OpKind::Br {
                         cond,
@@ -447,8 +454,8 @@ impl<'m> Vm<'m> {
                         meter!(op);
                         self.metrics.branches += 1;
                         let c = read(values, *cond);
-                        prev = Some(cur);
-                        block = if c != 0 { *then_bb } else { *else_bb };
+                        fr.prev = Some(fr.cur);
+                        fr.head = if c != 0 { *then_bb } else { *else_bb };
                         flush!();
                         continue 'blocks;
                     }
@@ -458,15 +465,25 @@ impl<'m> Vm<'m> {
                             // The next op is the target's Enter marker.
                             continue;
                         }
-                        prev = Some(cur);
-                        block = *target;
+                        fr.prev = Some(fr.cur);
+                        fr.head = *target;
                         flush!();
                         continue 'blocks;
                     }
                     OpKind::Ret { value } => {
                         meter!(op);
                         flush!();
-                        return Ok(read(values, *value));
+                        let v = read(values, *value);
+                        self.leave_frame(&df.layout, fr.sbase);
+                        stack.truncate(fr.vbase);
+                        let Some(caller) = frames.pop() else {
+                            return Ok(v);
+                        };
+                        stack[caller.vbase + fr.ret as usize] = v;
+                        fr = caller;
+                        df = &dm.funcs[fr.fid.0 as usize];
+                        values = &mut stack[fr.vbase..];
+                        continue 'blocks;
                     }
                     OpKind::Unreachable => {
                         meter!(op);

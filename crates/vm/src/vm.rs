@@ -30,6 +30,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Why a run stopped abnormally.
@@ -321,14 +322,27 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Engine selected by the `PYTHIA_ENGINE` environment variable
-    /// (`legacy` or `block`, case-insensitive); anything else — including
-    /// the variable being unset — selects [`Engine::Block`].
-    pub fn from_env() -> Self {
+    /// Parse `legacy` or `block`, case-insensitive; the error names both.
+    pub fn parse(s: &str) -> Result<Engine, String> {
+        [Engine::Legacy, Engine::Block]
+            .into_iter()
+            .find(|e| s.trim().eq_ignore_ascii_case(e.name()))
+            .ok_or_else(|| format!("unknown engine `{s}` (expected one of: legacy, block)"))
+    }
+
+    /// The engine `PYTHIA_ENGINE` names ([`Engine::parse`]), or
+    /// [`Engine::Block`] when it is unset; a value naming no engine is an
+    /// error, which binaries report at startup before anything runs.
+    pub fn try_from_env() -> Result<Engine, String> {
         match std::env::var("PYTHIA_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => Engine::Legacy,
-            _ => Engine::Block,
+            Ok(v) => Engine::parse(&v).map_err(|e| format!("bad PYTHIA_ENGINE: {e}")),
+            Err(_) => Ok(Engine::Block),
         }
+    }
+
+    /// [`Engine::try_from_env`], panicking on a value that names no engine.
+    pub fn from_env() -> Self {
+        Engine::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Stable lowercase name (reports, bench labels).
@@ -347,7 +361,9 @@ pub struct VmConfig {
     pub seed: u64,
     /// Instruction budget.
     pub max_insts: u64,
-    /// Call-depth limit.
+    /// Call-depth limit: the most simulated frames a run may hold, entry
+    /// included. Depth costs the block engine no host stack; the legacy
+    /// interpreter recurses once per frame on its 32 MiB thread.
     pub max_call_depth: usize,
     /// Heap geometry.
     pub heap: SectionConfig,
@@ -372,12 +388,9 @@ pub struct VmConfig {
     /// metrics, profile and exit reason never change. The server
     /// scenario's attack injector uses this to model an in-epoch leak.
     pub record_witness: bool,
-    /// Run the entry function on the caller's stack instead of a
-    /// dedicated 32 MiB interpreter thread. For fleets of tiny runs
-    /// (the standard server scenario runs each of its ~10⁶ requests
-    /// once, on one VM per event loop that `reset`s between runs) the
-    /// per-run thread spawn dominates; callers opting in must keep
-    /// `max_call_depth` small enough for their own stack.
+    /// Ignored. The block engine always runs on the caller's thread and
+    /// the legacy interpreter always on its own; the field stays only so
+    /// existing struct literals keep compiling.
     pub inline_exec: bool,
 }
 
@@ -412,14 +425,6 @@ pub struct Witness {
     /// Every memory-writing input-channel execution:
     /// `(ic execution index, destination address, declared capacity)`.
     pub ic_writes: Vec<(u64, u64, u64)>,
-}
-
-/// A legacy-engine call frame. Alloca addresses live in the shared dense
-/// [`FrameLayout`] (see [`crate::decode`]), not in a per-frame map.
-struct Frame {
-    values: Vec<i64>,
-    base: u64,
-    size: u64,
 }
 
 /// One recorded instruction execution (see [`VmConfig::trace_limit`]).
@@ -483,14 +488,10 @@ pub struct Vm<'m> {
     /// `trace_limit > 0` and is flipped off once the limit is reached, so
     /// a disabled/full trace costs one boolean test per instruction.
     pub(crate) trace_on: bool,
-    /// Scratch for parallel-copy phi prologues (block engine).
-    pub(crate) phi_scratch: Vec<i64>,
-    /// Retired frame value arrays, reused by the block engine so a call
-    /// costs a memset instead of a malloc + memset (pure optimization:
-    /// frames are fully re-initialized on reuse).
-    pub(crate) frame_pool: Vec<Vec<i64>>,
-    /// Retired call-argument buffers, same idea.
-    pub(crate) argv_pool: Vec<Vec<i64>>,
+    /// Block-engine scratch: phi parallel copies, intrinsic arguments.
+    pub(crate) scratch: Vec<i64>,
+    /// Block-engine value slots of every live frame, one after another.
+    pub(crate) value_stack: Vec<i64>,
     /// Reusable zero buffer for frame clearing.
     zeros: Vec<u8>,
     /// Disclosure record (populated only under
@@ -512,9 +513,8 @@ pub struct Vm<'m> {
 struct Buffers {
     mem: Memory,
     cache: CacheSim,
-    phi_scratch: Vec<i64>,
-    frame_pool: Vec<Vec<i64>>,
-    argv_pool: Vec<Vec<i64>>,
+    scratch: Vec<i64>,
+    value_stack: Vec<i64>,
     zeros: Vec<u8>,
     pa_site_bits: Vec<u64>,
     pac_memo: PacMemo,
@@ -525,9 +525,8 @@ impl Buffers {
         Buffers {
             mem: Memory::new(),
             cache: CacheSim::m1_like(),
-            phi_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            argv_pool: Vec::new(),
+            scratch: Vec::new(),
+            value_stack: Vec::new(),
             zeros: Vec::new(),
             pa_site_bits: Vec::new(),
             pac_memo: PacMemo::default(),
@@ -563,8 +562,8 @@ impl<'m> Vm<'m> {
     /// same module, decode cache, `cfg` and `plan`, whatever the previous
     /// run left behind (a trap mid-call, a setup error, a recorded
     /// witness). Only the host buffers survive — the simulated memory's
-    /// page tables, the cache simulator's tag arrays, the engines'
-    /// scratch pools and the PA-site bitset — cleared instead of
+    /// page tables, the cache simulator's tag arrays, the block engine's
+    /// value stack and scratch and the PA-site bitset — cleared instead of
     /// reallocated, so a fleet of short runs pays for allocating them
     /// once. The PAC memo survives as it is: its entries are tagged with
     /// the full key, so they stay exact under the new seed's keys.
@@ -572,9 +571,8 @@ impl<'m> Vm<'m> {
         let mut bufs = Buffers {
             mem: std::mem::replace(&mut self.mem, Memory::placeholder()),
             cache: std::mem::replace(&mut self.cache, CacheSim::placeholder()),
-            phi_scratch: std::mem::take(&mut self.phi_scratch),
-            frame_pool: std::mem::take(&mut self.frame_pool),
-            argv_pool: std::mem::take(&mut self.argv_pool),
+            scratch: std::mem::take(&mut self.scratch),
+            value_stack: std::mem::take(&mut self.value_stack),
             zeros: std::mem::take(&mut self.zeros),
             pa_site_bits: std::mem::take(&mut self.pa_site_bits),
             pac_memo: std::mem::take(&mut self.pac_memo),
@@ -630,9 +628,8 @@ impl<'m> Vm<'m> {
             op_counts: [0; 256],
             pa_key_counts: [0; 5],
             trace_on: cfg.trace_limit > 0,
-            phi_scratch: bufs.phi_scratch,
-            frame_pool: bufs.frame_pool,
-            argv_pool: bufs.argv_pool,
+            scratch: bufs.scratch,
+            value_stack: bufs.value_stack,
             zeros: bufs.zeros,
             witness: Witness::default(),
             next_stop: cfg.max_insts,
@@ -966,48 +963,29 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Run the entry function on a dedicated thread with an explicit
-    /// stack. Debug-build interpreter frames are large enough that the
-    /// maximum call depth (400) can overflow a caller's default thread
-    /// stack (scoped workers get 2 MiB); the explicit 32 MiB stack makes
-    /// the depth limit the only recursion bound. A panic on the
-    /// interpreter thread is converted into [`PythiaError::Internal`]
-    /// instead of unwinding into the caller.
+    /// Run the entry function. The block engine runs on the caller's
+    /// thread; the legacy interpreter recurses on the host stack once per
+    /// simulated call, so it runs on a thread whose explicit 32 MiB stack
+    /// makes the depth limit its only recursion bound. Either way a panic
+    /// becomes [`PythiaError::Internal`] instead of unwinding.
     fn exec_entry(&mut self, fid: FuncId, args: &[i64]) -> Result<i64, Halt> {
         const INTERP_STACK: usize = 32 << 20;
-        let engine = self.cfg.engine;
-        // Opt-in fast path: no interpreter thread. The caller vouches
-        // that its own stack holds `max_call_depth` frames; the server
-        // event loop uses this to avoid ~10⁶ spawns per scenario.
-        if self.cfg.inline_exec {
-            return match engine {
-                Engine::Legacy => self.exec_function(fid, args, 0),
-                Engine::Block => self.exec_function_block(fid, args, 0),
-            };
-        }
-        let this = &mut *self;
-        let spawned = std::thread::scope(|s| {
-            let worker = std::thread::Builder::new()
-                .name("pythia-interp".into())
-                .stack_size(INTERP_STACK)
-                .spawn_scoped(s, move || match engine {
-                    Engine::Legacy => this.exec_function(fid, args, 0),
-                    Engine::Block => this.exec_function_block(fid, args, 0),
-                });
-            worker.ok().map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref()).into()))
-            })
-        });
-        match spawned {
-            Some(r) => r,
+        let run = if self.cfg.engine == Engine::Block {
+            catch_unwind(AssertUnwindSafe(|| self.exec_block(fid, args)))
+        } else {
+            let this = &mut *self;
+            let spawned = std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    .name("pythia-interp".into())
+                    .stack_size(INTERP_STACK)
+                    .spawn_scoped(s, move || this.exec_function(fid, args, 0))
+                    .map(|h| h.join())
+            });
             // Spawn failure (resource exhaustion): degrade to running on
             // the caller's stack rather than refusing outright.
-            None => match engine {
-                Engine::Legacy => self.exec_function(fid, args, 0),
-                Engine::Block => self.exec_function_block(fid, args, 0),
-            },
-        }
+            spawned.unwrap_or_else(|_| Ok(self.exec_function(fid, args, 0)))
+        };
+        run.unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref()).into()))
     }
 
     pub(crate) fn charge(&mut self, mc: u64) {
@@ -1035,6 +1013,55 @@ impl<'m> Vm<'m> {
             self.zeros.resize(n, 0);
         }
         self.mem.write_bytes(addr, &self.zeros[..n])
+    }
+
+    /// The function an indirect call to `addr` enters (both engines).
+    pub(crate) fn indirect_target(&self, addr: u64) -> Result<FuncId, Trap> {
+        let target = FuncId((addr.wrapping_sub(0x4000) / 16) as u32);
+        if addr < 0x4000
+            || !(addr - 0x4000).is_multiple_of(16)
+            || target.0 as usize >= self.module.functions().len()
+        {
+            return Err(Trap::BadIndirectCall);
+        }
+        Ok(target)
+    }
+
+    /// Both engines' frame setup `depth` frames deep: the depth limit,
+    /// then the zeroed, registered stack frame `fl` lays out; its base.
+    pub(crate) fn enter_frame(&mut self, depth: usize, fl: &FrameLayout) -> Result<u64, Halt> {
+        if depth >= self.cfg.max_call_depth {
+            return Err(Trap::CallDepthExceeded.into());
+        }
+        let base = self.sp;
+        if base.saturating_add(fl.frame_size) > layout::STACK_BASE + layout::STACK_SIZE {
+            return Err(Trap::StackOverflow.into());
+        }
+        self.sp = base + fl.frame_size;
+        // Zero the frame (stack reuse would otherwise leak prior frames).
+        if fl.frame_size > 0 {
+            self.write_zeros(base, fl.frame_size)?;
+        }
+        for slot in &fl.objects {
+            self.stack_objects
+                .insert(base.saturating_add(slot.off), slot.size);
+        }
+        Ok(base)
+    }
+
+    /// Undo [`Vm::enter_frame`] for the frame at `base`.
+    pub(crate) fn leave_frame(&mut self, fl: &FrameLayout, base: u64) {
+        for slot in &fl.objects {
+            self.stack_objects.remove(&base.saturating_add(slot.off));
+        }
+        // Removing granules from an empty shadow map is a no-op; skipping
+        // it keeps the non-DFI schemes off the hash path entirely.
+        if fl.frame_size > 0 && !self.shadow.is_empty() {
+            for g in (base >> 3)..=((base + fl.frame_size - 1) >> 3) {
+                self.shadow.remove(&g);
+            }
+        }
+        self.sp = base;
     }
 
     fn cache_access(&mut self, addr: u64) -> u64 {
@@ -1111,52 +1138,17 @@ impl<'m> Vm<'m> {
 
     // ---- the interpreter ------------------------------------------------
 
-    #[allow(clippy::too_many_lines)]
     fn exec_function(&mut self, fid: FuncId, args: &[i64], depth: usize) -> Result<i64, Halt> {
-        if depth >= self.cfg.max_call_depth {
-            return Err(Trap::CallDepthExceeded.into());
-        }
-        let m = self.module;
-        let f = m.func(fid);
-
-        // --- frame layout: the dense per-function table (allocas in
-        // entry-block order, low to high), computed once at decode time --
+        let f = self.module.func(fid);
         let dm = self.decoded.clone();
         let flayout = dm.layout(fid);
-        let mut frame = Frame {
-            values: vec![0i64; f.num_values()],
-            base: self.sp,
-            size: flayout.frame_size,
-        };
-        if frame.base.saturating_add(frame.size) > layout::STACK_BASE + layout::STACK_SIZE {
-            return Err(Trap::StackOverflow.into());
+        let base = self.enter_frame(depth, flayout)?;
+        let mut values = vec![0i64; f.num_values()];
+        for (v, &a) in values.iter_mut().zip(args).take(f.params.len()) {
+            *v = a;
         }
-        self.sp = frame.base + frame.size;
-        // Zero the frame (stack reuse would otherwise leak prior frames).
-        if frame.size > 0 {
-            self.write_zeros(frame.base, frame.size)?;
-        }
-        for slot in &flayout.objects {
-            self.stack_objects
-                .insert(frame.base.saturating_add(slot.off), slot.size);
-        }
-        for (i, &a) in args.iter().enumerate().take(f.params.len()) {
-            frame.values[i] = a;
-        }
-
-        let result = self.exec_blocks(fid, &mut frame, flayout, depth);
-
-        // --- frame teardown ---------------------------------------------
-        for slot in &flayout.objects {
-            self.stack_objects
-                .remove(&frame.base.saturating_add(slot.off));
-        }
-        if frame.size > 0 {
-            for g in (frame.base >> 3)..=((frame.base + frame.size - 1) >> 3) {
-                self.shadow.remove(&g);
-            }
-        }
-        self.sp = frame.base;
+        let result = self.exec_blocks(fid, &mut values, base, flayout, depth);
+        self.leave_frame(flayout, base);
         result
     }
 
@@ -1164,7 +1156,8 @@ impl<'m> Vm<'m> {
     fn exec_blocks(
         &mut self,
         fid: FuncId,
-        frame: &mut Frame,
+        values: &mut [i64],
+        fbase: u64,
         flayout: &FrameLayout,
         depth: usize,
     ) -> Result<i64, Halt> {
@@ -1201,7 +1194,7 @@ impl<'m> Vm<'m> {
                                 .with_function(f.name.clone())
                                 .with_instruction(iv.0)
                             })?;
-                        let v = self.value_of(f, &frame.values, *src);
+                        let v = self.value_of(f, values, *src);
                         phi_writes.push((iv, v));
                         self.metrics.insts += 1;
                         self.charge(self.cfg.cost.copy);
@@ -1214,7 +1207,7 @@ impl<'m> Vm<'m> {
                 }
             }
             for (iv, v) in phi_writes {
-                frame.values[iv.0 as usize] = v;
+                values[iv.0 as usize] = v;
             }
 
             // Phase 2: straight-line execution.
@@ -1244,27 +1237,27 @@ impl<'m> Vm<'m> {
                                 .with_function(f.name.clone())
                                 .with_instruction(iv.0)
                         })?;
-                        frame.values[iv.0 as usize] = frame.base.saturating_add(off) as i64;
+                        values[iv.0 as usize] = fbase.saturating_add(off) as i64;
                     }
                     Inst::Load { ptr } => {
-                        let addr = self.value_of(f, &frame.values, *ptr) as u64;
+                        let addr = self.value_of(f, values, *ptr) as u64;
                         let size = f.value(iv).ty.size().clamp(1, 8);
-                        frame.values[iv.0 as usize] = self.mem_read(addr, size)?;
+                        values[iv.0 as usize] = self.mem_read(addr, size)?;
                     }
                     Inst::Store { ptr, value } => {
-                        let addr = self.value_of(f, &frame.values, *ptr) as u64;
-                        let v = self.value_of(f, &frame.values, *value);
+                        let addr = self.value_of(f, values, *ptr) as u64;
+                        let v = self.value_of(f, values, *value);
                         let size = f.value(*value).ty.size().clamp(1, 8);
                         self.mem_write(addr, size, v)?;
                     }
                     Inst::Gep { base, index, elem } => {
-                        let b = self.value_of(f, &frame.values, *base);
-                        let i = self.value_of(f, &frame.values, *index);
-                        frame.values[iv.0 as usize] =
+                        let b = self.value_of(f, values, *base);
+                        let i = self.value_of(f, values, *index);
+                        values[iv.0 as usize] =
                             b.wrapping_add(i.wrapping_mul(elem.size().max(1) as i64));
                     }
                     Inst::FieldAddr { base, field } => {
-                        let b = self.value_of(f, &frame.values, *base) as u64;
+                        let b = self.value_of(f, values, *base) as u64;
                         let off = match f.value(*base).ty.pointee() {
                             // An out-of-range field index (unverified input)
                             // falls through to the flat fallback instead of
@@ -1274,33 +1267,33 @@ impl<'m> Vm<'m> {
                             }
                             _ => u64::from(*field).saturating_mul(8),
                         };
-                        frame.values[iv.0 as usize] = b.wrapping_add(off) as i64;
+                        values[iv.0 as usize] = b.wrapping_add(off) as i64;
                     }
                     Inst::Bin { op, lhs, rhs } => {
-                        let a = self.value_of(f, &frame.values, *lhs);
-                        let b = self.value_of(f, &frame.values, *rhs);
+                        let a = self.value_of(f, values, *lhs);
+                        let b = self.value_of(f, values, *rhs);
                         let raw = eval_bin(*op, a, b).ok_or(Trap::DivByZero)?;
-                        frame.values[iv.0 as usize] = f.value(iv).ty.wrap(raw);
+                        values[iv.0 as usize] = f.value(iv).ty.wrap(raw);
                     }
                     Inst::Icmp { pred, lhs, rhs } => {
-                        let a = self.value_of(f, &frame.values, *lhs);
-                        let b = self.value_of(f, &frame.values, *rhs);
-                        frame.values[iv.0 as usize] = i64::from(pred.eval(a, b));
+                        let a = self.value_of(f, values, *lhs);
+                        let b = self.value_of(f, values, *rhs);
+                        values[iv.0 as usize] = i64::from(pred.eval(a, b));
                     }
                     Inst::Cast { kind, value, to } => {
-                        let v = self.value_of(f, &frame.values, *value);
-                        frame.values[iv.0 as usize] = eval_cast(*kind, v, to);
+                        let v = self.value_of(f, values, *value);
+                        values[iv.0 as usize] = eval_cast(*kind, v, to);
                     }
                     Inst::Select {
                         cond,
                         on_true,
                         on_false,
                     } => {
-                        let c = self.value_of(f, &frame.values, *cond);
-                        frame.values[iv.0 as usize] = if c != 0 {
-                            self.value_of(f, &frame.values, *on_true)
+                        let c = self.value_of(f, values, *cond);
+                        values[iv.0 as usize] = if c != 0 {
+                            self.value_of(f, values, *on_true)
                         } else {
-                            self.value_of(f, &frame.values, *on_false)
+                            self.value_of(f, values, *on_false)
                         };
                     }
                     Inst::Phi { incomings } => {
@@ -1311,7 +1304,7 @@ impl<'m> Vm<'m> {
                                 .with_instruction(iv.0)
                         })?;
                         if let Some((_, src)) = incomings.iter().find(|(b, _)| *b == pred) {
-                            frame.values[iv.0 as usize] = self.value_of(f, &frame.values, *src);
+                            values[iv.0 as usize] = self.value_of(f, values, *src);
                         }
                     }
                     Inst::PacSign {
@@ -1319,29 +1312,29 @@ impl<'m> Vm<'m> {
                         key,
                         modifier,
                     } => {
-                        let v = self.value_of(f, &frame.values, *value) as u64;
-                        let md = self.value_of(f, &frame.values, *modifier) as u64;
-                        frame.values[iv.0 as usize] = self.pa_sign(fid, iv, *key, v, md) as i64;
+                        let v = self.value_of(f, values, *value) as u64;
+                        let md = self.value_of(f, values, *modifier) as u64;
+                        values[iv.0 as usize] = self.pa_sign(fid, iv, *key, v, md) as i64;
                     }
                     Inst::PacAuth {
                         value,
                         key,
                         modifier,
                     } => {
-                        let v = self.value_of(f, &frame.values, *value) as u64;
-                        let md = self.value_of(f, &frame.values, *modifier) as u64;
-                        frame.values[iv.0 as usize] = self.pa_auth(fid, iv, *key, v, md)? as i64;
+                        let v = self.value_of(f, values, *value) as u64;
+                        let md = self.value_of(f, values, *modifier) as u64;
+                        values[iv.0 as usize] = self.pa_auth(fid, iv, *key, v, md)? as i64;
                     }
                     Inst::PacStrip { value } => {
-                        let v = self.value_of(f, &frame.values, *value) as u64;
-                        frame.values[iv.0 as usize] = self.pa_strip(fid, iv, v) as i64;
+                        let v = self.value_of(f, values, *value) as u64;
+                        values[iv.0 as usize] = self.pa_strip(fid, iv, v) as i64;
                     }
                     Inst::SetDef { ptr, def_id } => {
                         self.metrics.dfi_insts += 1;
                         if self.cfg.profile {
                             self.profile.shadow.setdefs += 1;
                         }
-                        let addr = self.value_of(f, &frame.values, *ptr) as u64;
+                        let addr = self.value_of(f, values, *ptr) as u64;
                         self.shadow.insert(addr >> 3, *def_id);
                     }
                     Inst::ChkDef { ptr, allowed } => {
@@ -1349,7 +1342,7 @@ impl<'m> Vm<'m> {
                         if self.cfg.profile {
                             self.profile.shadow.chkdefs += 1;
                         }
-                        let addr = self.value_of(f, &frame.values, *ptr) as u64;
+                        let addr = self.value_of(f, values, *ptr) as u64;
                         if let Some(&found) = self.shadow.get(&(addr >> 3)) {
                             if !allowed.contains(&found) {
                                 return Err(Trap::DfiViolation { found }.into());
@@ -1358,28 +1351,20 @@ impl<'m> Vm<'m> {
                     }
                     Inst::Call { callee, args } => {
                         self.metrics.calls += 1;
-                        let argv: Vec<i64> = args
-                            .iter()
-                            .map(|a| self.value_of(f, &frame.values, *a))
-                            .collect();
+                        let argv: Vec<i64> =
+                            args.iter().map(|a| self.value_of(f, values, *a)).collect();
                         let ret = match callee {
                             Callee::Func(target) => {
                                 self.exec_function(*target, &argv, depth + 1)?
                             }
                             Callee::Intrinsic(i) => self.exec_intrinsic(fid, iv, *i, &argv)?,
                             Callee::Indirect(v) => {
-                                let addr = self.value_of(f, &frame.values, *v) as u64;
-                                if addr < 0x4000 || !(addr - 0x4000).is_multiple_of(16) {
-                                    return Err(Trap::BadIndirectCall.into());
-                                }
-                                let target = FuncId(((addr - 0x4000) / 16) as u32);
-                                if target.0 as usize >= m.functions().len() {
-                                    return Err(Trap::BadIndirectCall.into());
-                                }
+                                let addr = self.value_of(f, values, *v) as u64;
+                                let target = self.indirect_target(addr)?;
                                 self.exec_function(target, &argv, depth + 1)?
                             }
                         };
-                        frame.values[iv.0 as usize] = ret;
+                        values[iv.0 as usize] = ret;
                         if self.halted.is_some() {
                             return Ok(0);
                         }
@@ -1390,7 +1375,7 @@ impl<'m> Vm<'m> {
                         else_bb,
                     } => {
                         self.metrics.branches += 1;
-                        let c = self.value_of(f, &frame.values, *cond);
+                        let c = self.value_of(f, values, *cond);
                         prev = Some(block);
                         block = if c != 0 { *then_bb } else { *else_bb };
                         continue 'blocks;
@@ -1401,9 +1386,7 @@ impl<'m> Vm<'m> {
                         continue 'blocks;
                     }
                     Inst::Ret { value } => {
-                        let v = value
-                            .map(|v| self.value_of(f, &frame.values, v))
-                            .unwrap_or(0);
+                        let v = value.map(|v| self.value_of(f, values, v)).unwrap_or(0);
                         return Ok(v);
                     }
                     Inst::Unreachable => return Err(Trap::Abort.into()),
@@ -2324,6 +2307,45 @@ mod tests {
             vm.run("rec", &[1]).unwrap().exit,
             ExitReason::Trapped(Trap::CallDepthExceeded)
         );
+    }
+
+    #[test]
+    fn engine_names_parse_case_insensitively_and_nothing_else_does() {
+        assert_eq!(Engine::parse("legacy"), Ok(Engine::Legacy));
+        assert_eq!(Engine::parse(" BLOCK "), Ok(Engine::Block));
+        for e in [Engine::Legacy, Engine::Block] {
+            assert_eq!(Engine::parse(e.name()), Ok(e));
+        }
+        for bad in ["", "blok", "legacy,block", "interp"] {
+            let err = Engine::parse(bad).unwrap_err();
+            assert!(err.contains("legacy, block"), "{err}");
+        }
+    }
+
+    #[test]
+    fn block_engine_depth_costs_no_host_stack() {
+        // A run 400 frames deep on a 256 KiB host thread: the block engine
+        // keeps its frames on the heap, so only the depth limit stops it.
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("rec", vec![Ty::I64], Ty::I64);
+        let x = b.func().arg(0);
+        let r = b.call(pythia_ir::FuncId(0), vec![x], Ty::I64);
+        b.ret(Some(r));
+        m.add_function(b.finish());
+        let cfg = VmConfig {
+            engine: Engine::Block,
+            ..VmConfig::default()
+        };
+        assert_eq!(cfg.max_call_depth, 400);
+        let r = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || Vm::new(&m, cfg, InputPlan::benign(1)).run("rec", &[1]))
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap();
+        assert_eq!(r.exit, ExitReason::Trapped(Trap::CallDepthExceeded));
+        assert_eq!(r.metrics.calls, 400);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::server::sched::{attack_timetable, ConnRing, EpochClock};
 use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap};
 use pythia_ir::{BinOp, CastKind, CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty};
 use pythia_vm::{
-    AttackSpec, CostModel, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan,
+    AttackSpec, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan,
     RunMetrics, Trap, Vm, VmConfig,
 };
 use rand::rngs::SmallRng;
@@ -480,23 +480,22 @@ pub fn run_event_loop(
     }
     let mut ring = ConnRing::new(cfg.connections);
 
+    let base_cfg = VmConfig {
+        max_call_depth: 64,
+        profile: false,
+        engine: cfg.engine,
+        ..VmConfig::default()
+    };
     let vm_cfg = |seed: u64, max_insts: u64, witness: bool| VmConfig {
         seed,
         max_insts,
-        max_call_depth: 64,
-        heap: SectionConfig::default(),
-        cost: CostModel::default(),
-        enable_cache: true,
-        trace_limit: 0,
-        profile: false,
-        engine: cfg.engine,
         record_witness: witness,
-        inline_exec: true,
+        ..base_cfg.clone()
     };
     // One VM serves every request, leak probe and delivery of the loop:
     // `Vm::reset` before each run gives it exactly the state a fresh
     // build would, but keeps its page tables, cache simulator and
-    // scratch pools instead of reallocating them per run.
+    // value and frame stacks instead of reallocating them per run.
     let mut vm = Vm::with_decoded(
         module,
         decoded,

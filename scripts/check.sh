@@ -218,6 +218,19 @@ if [ "$bad_status" -ne 2 ] || ! grep -q 'insensitive, 1cfa, summary-2cfa, objsen
 fi
 echo "OK: unknown policy rejected with exit 2"
 
+# Likewise an unknown engine: a typo'd PYTHIA_ENGINE must not silently
+# run the block engine.
+echo "== unknown PYTHIA_ENGINE is rejected =="
+bad_status=0
+PYTHIA_ENGINE=no-such-engine target/release/reproduce --smoke \
+    > /dev/null 2> "$OUT/engine-bad.err" || bad_status=$?
+if [ "$bad_status" -ne 2 ] || ! grep -q 'legacy, block' "$OUT/engine-bad.err"; then
+    echo "FAIL: PYTHIA_ENGINE=no-such-engine exited $bad_status (want 2 naming legacy, block):" >&2
+    cat "$OUT/engine-bad.err" >&2
+    exit 1
+fi
+echo "OK: unknown engine rejected with exit 2"
+
 # Ref-tier gate: one fast benchmark at --tier ref through the streaming
 # runner. The tier's bounded-loop array walks must give the interval
 # analysis something to discharge — nonzero proven geps AND pruned

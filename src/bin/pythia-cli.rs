@@ -31,6 +31,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     pythia::analysis::CtxPolicy::from_env()?;
+    pythia::vm::Engine::try_from_env()?;
     let Some(cmd) = args.first() else {
         return Err(usage());
     };

@@ -179,6 +179,24 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn an_unknown_engine_is_rejected_before_anything_runs() {
+    let out = cli()
+        .args(["help"])
+        .env("PYTHIA_ENGINE", "blok")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("legacy, block"), "{err}");
+    // Spelling is case-insensitive.
+    ok(&cli()
+        .args(["help"])
+        .env("PYTHIA_ENGINE", "Legacy")
+        .output()
+        .unwrap());
+}
+
+#[test]
 fn run_with_trace_prints_instructions() {
     let dir = tmpdir("trace");
     let f = dir.join("t.pir");

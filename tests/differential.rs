@@ -241,7 +241,6 @@ fn overflow_plan(m: &Module) -> InputPlan {
             seed: 1,
             max_call_depth: 64,
             record_witness: true,
-            inline_exec: true,
             ..VmConfig::default()
         },
         InputPlan::benign(7),
@@ -286,7 +285,6 @@ fn a_reset_vm_runs_exactly_like_a_fresh_one() {
     let server = |seed: u64| VmConfig {
         seed,
         max_call_depth: 64,
-        inline_exec: true,
         ..VmConfig::default()
     };
 
@@ -397,7 +395,6 @@ fn a_reset_cpa_vm_runs_exactly_like_a_fresh_one_across_seeds() {
             seed,
             engine,
             max_call_depth: 64,
-            inline_exec: true,
             ..VmConfig::default()
         };
         let mut reused = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(0), InputPlan::benign(0));
@@ -500,7 +497,6 @@ fn request_cfg(seed: u64, max_insts: u64) -> VmConfig {
         max_insts,
         max_call_depth: 64,
         profile: false,
-        inline_exec: true,
         ..VmConfig::default()
     }
 }
@@ -558,7 +554,6 @@ fn run_sliced_matches_a_fresh_run_at_a_small_stride_on_a_suite_module() {
     let cfg = VmConfig {
         max_insts: 37 * 80,
         profile: false,
-        inline_exec: true,
         ..VmConfig::default()
     };
     let plan = InputPlan::benign(3);
@@ -601,4 +596,260 @@ fn run_sliced_matches_a_fresh_run_when_the_run_faults_after_checkpoints() {
         "{:?}",
         end.0
     );
+}
+
+/// The server module plus a call-heavy set of entries, instrumented
+/// under Pythia:
+///
+/// - `rec(n)` recurses directly `n` deep (`n + 1` frames);
+/// - `even`/`odd` recurse mutually, `apply(f, x)` calls `f` indirectly,
+///   and `tour()` runs all three;
+/// - `quit()` calls `exit(7)` three frames down;
+/// - `deep_fault()` loads through a null-page pointer three frames down;
+/// - `deep_request(conn, req)` serves `handle_request` two frames down;
+/// - `bad_indirect()` hands `apply` a pointer that is no function.
+fn frames_module() -> Module {
+    let mut m = server_module();
+    let handler = m.func_by_name("handle_request").unwrap();
+    let base = m.functions().len() as u32;
+    let (rec, even, odd, apply) = (
+        pythia::ir::FuncId(base),
+        pythia::ir::FuncId(base + 1),
+        pythia::ir::FuncId(base + 2),
+        pythia::ir::FuncId(base + 3),
+    );
+
+    let mut b = FunctionBuilder::new("rec", vec![Ty::I64], Ty::I64);
+    let n = b.func().arg(0);
+    let slot = b.alloca(Ty::I64);
+    b.store(n, slot);
+    let zero = b.const_i64(0);
+    let done = b.icmp(CmpPred::Sle, n, zero);
+    let (leaf, step) = (b.new_block("leaf"), b.new_block("step"));
+    b.br(done, leaf, step);
+    b.switch_to(leaf);
+    b.ret(Some(zero));
+    b.switch_to(step);
+    let one = b.const_i64(1);
+    let down = b.sub(n, one);
+    let r = b.call(rec, vec![down], Ty::I64);
+    let back = b.load(slot);
+    let r = b.add(r, back);
+    let r = b.sub(r, down);
+    b.ret(Some(r));
+    assert_eq!(m.add_function(b.finish()), rec);
+
+    for (name, other, at_zero) in [("even", odd, 1), ("odd", even, 0)] {
+        let mut b = FunctionBuilder::new(name, vec![Ty::I64], Ty::I64);
+        let n = b.func().arg(0);
+        let zero = b.const_i64(0);
+        let done = b.icmp(CmpPred::Eq, n, zero);
+        let (leaf, step) = (b.new_block("leaf"), b.new_block("step"));
+        b.br(done, leaf, step);
+        b.switch_to(leaf);
+        let k = b.const_i64(at_zero);
+        b.ret(Some(k));
+        b.switch_to(step);
+        let one = b.const_i64(1);
+        let down = b.sub(n, one);
+        let r = b.call(other, vec![down], Ty::I64);
+        b.ret(Some(r));
+        m.add_function(b.finish());
+    }
+
+    let mut b = FunctionBuilder::new("apply", vec![Ty::I64, Ty::I64], Ty::I64);
+    let (f, x) = (b.func().arg(0), b.func().arg(1));
+    let fp = b.cast(CastKind::IntToPtr, f, Ty::ptr(Ty::I8));
+    let r = b.call_indirect(fp, vec![x], Ty::I64);
+    let one = b.const_i64(1);
+    let r = b.add(r, one);
+    b.ret(Some(r));
+    assert_eq!(m.add_function(b.finish()), apply);
+
+    let mut b = FunctionBuilder::new("tour", vec![], Ty::I64);
+    let six = b.const_i64(6);
+    let a = b.call(rec, vec![six], Ty::I64);
+    let seven = b.const_i64(7);
+    let e = b.call(even, vec![seven], Ty::I64);
+    let mut sum = b.add(a, e);
+    for (target, arg) in [(rec, 5), (odd, 9)] {
+        let fp = b.func_addr(target);
+        let f = b.cast(CastKind::PtrToInt, fp, Ty::I64);
+        let x = b.const_i64(arg);
+        let r = b.call(apply, vec![f, x], Ty::I64);
+        let ten = b.const_i64(10);
+        sum = b.mul(sum, ten);
+        sum = b.add(sum, r);
+    }
+    b.ret(Some(sum));
+    m.add_function(b.finish());
+
+    let mut b = FunctionBuilder::new("bad_indirect", vec![], Ty::I64);
+    let (bogus, one) = (b.const_i64(0x4008), b.const_i64(1));
+    let r = b.call(apply, vec![bogus, one], Ty::I64);
+    b.ret(Some(r));
+    m.add_function(b.finish());
+
+    // Three-frame chains under `quit`, `deep_fault` and `deep_request`:
+    // the innermost function ends the run or serves the request.
+    for name in ["quit", "deep_fault", "deep_request"] {
+        let mut b = FunctionBuilder::new(format!("{name}_2"), vec![Ty::I64, Ty::I64], Ty::I64);
+        let (c, q) = (b.func().arg(0), b.func().arg(1));
+        match name {
+            "quit" => {
+                let code = b.const_i64(7);
+                b.call_intrinsic(Intrinsic::Exit, vec![code], Ty::Void);
+                let k = b.const_i64(99);
+                b.ret(Some(k));
+            }
+            "deep_fault" => {
+                let k = b.const_i64(8);
+                let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I64));
+                let v = b.load(p);
+                b.ret(Some(v));
+            }
+            _ => {
+                let r = b.call(handler, vec![c, q], Ty::I64);
+                b.ret(Some(r));
+            }
+        }
+        let mut callee = m.add_function(b.finish());
+        for depth in [1, 0] {
+            let fname = if depth == 0 {
+                name.to_owned()
+            } else {
+                format!("{name}_{depth}")
+            };
+            let mut b = FunctionBuilder::new(fname, vec![Ty::I64, Ty::I64], Ty::I64);
+            let (c, q) = (b.func().arg(0), b.func().arg(1));
+            let r = b.call(callee, vec![c, q], Ty::I64);
+            b.ret(Some(r));
+            callee = m.add_function(b.finish());
+        }
+    }
+    verify::verify_module(&m).expect("valid IR");
+    let ctx = pythia::analysis::SliceContext::new(&m);
+    let report = pythia::analysis::VulnerabilityReport::analyze(&ctx);
+    instrument_with(&m, &ctx, &report, Scheme::Pythia).module
+}
+
+/// Direct, mutual and indirect recursion up to the default depth limit,
+/// `exit` and traps raised frames below the entry: both engines show the
+/// same result, metrics, profile, 64-event trace, witness and resident
+/// bytes, and a VM reset between the runs shows what a fresh one does.
+#[test]
+fn the_frame_stack_runs_alike_under_both_engines_and_after_reset() {
+    let m = frames_module();
+    let cfg = |engine| VmConfig {
+        engine,
+        trace_limit: 64,
+        record_witness: true,
+        ..VmConfig::default()
+    };
+    assert_eq!(cfg(Engine::Block).max_call_depth, 400);
+    // Every way a stack of frames can end: a return, the depth limit,
+    // `exit`, a fault, a canary detection and a bad indirect call.
+    let runs: Vec<(&str, Vec<i64>, InputPlan, &str)> = vec![
+        ("tour", vec![], InputPlan::benign(7), "Ok((Returned("),
+        ("rec", vec![399], InputPlan::benign(7), "Ok((Returned(399)"),
+        (
+            "rec",
+            vec![400],
+            InputPlan::benign(7),
+            "Ok((Trapped(CallDepthExceeded)",
+        ),
+        ("quit", vec![0, 0], InputPlan::benign(7), "Ok((Exited(7)"),
+        (
+            "deep_fault",
+            vec![0, 0],
+            InputPlan::benign(7),
+            "Ok((Trapped(MemoryFault {",
+        ),
+        (
+            "deep_request",
+            vec![3, 5],
+            overflow_plan(&m),
+            "Ok((Trapped(PacAuthFailure { key: Ga })",
+        ),
+        (
+            "deep_request",
+            vec![3, 5],
+            InputPlan::benign(7),
+            "Ok((Returned(",
+        ),
+        (
+            "bad_indirect",
+            vec![],
+            InputPlan::benign(7),
+            "Ok((Trapped(BadIndirectCall)",
+        ),
+    ];
+    let mut seen: Vec<String> = Vec::new();
+    for engine in [Engine::Legacy, Engine::Block] {
+        let decoded = Arc::new(DecodedModule::new(&m));
+        let mut reused =
+            Vm::with_decoded(&m, Arc::clone(&decoded), cfg(engine), InputPlan::benign(0));
+        for (i, (entry, args, plan, expect)) in runs.iter().enumerate() {
+            let mut fresh = Vm::with_decoded(&m, Arc::clone(&decoded), cfg(engine), plan.clone());
+            let want = observe(&mut fresh, entry, args);
+            assert!(want.starts_with(expect), "{entry} ({engine:?}): {want}");
+            reused.reset(cfg(engine), plan.clone());
+            let got = observe(&mut reused, entry, args);
+            assert_eq!(got, want, "{entry} ({engine:?}): reset diverged from fresh");
+            match seen.get(i) {
+                Some(legacy) => assert_eq!(&want, legacy, "{entry}: the engines disagree"),
+                None => seen.push(want),
+            }
+        }
+    }
+}
+
+/// `run_sliced` at strides small enough that boundaries land on `call`
+/// and `ret` ops, across recursion, `exit` and a fault in a callee: every
+/// budget's fresh run ends as its checkpoint says, under both engines.
+#[test]
+fn run_sliced_matches_a_fresh_run_on_call_and_ret_boundaries() {
+    let m = frames_module();
+    let plan = InputPlan::benign(7);
+    let mut stopped_on: Vec<&str> = Vec::new();
+    for (entry, args, stride) in [
+        ("tour", &[][..], 3u64),
+        ("rec", &[12][..], 5),
+        ("quit", &[0, 0][..], 1),
+        ("deep_fault", &[0, 0][..], 1),
+    ] {
+        let cfg = VmConfig {
+            max_insts: stride * 120,
+            profile: false,
+            ..VmConfig::default()
+        };
+        let (cps, end) = assert_sliced_matches_fresh(&m, &cfg, &plan, (entry, args), stride, entry);
+        assert!(cps.len() >= 2, "{entry}: {} checkpoints", cps.len());
+        assert_ne!(
+            end.0,
+            ExitReason::Trapped(Trap::InstBudgetExhausted),
+            "{entry}"
+        );
+        // These functions have no phis, so the instruction a budget of
+        // `k × stride` stops before is trace event `k × stride`.
+        let mut traced = Vm::new(
+            &m,
+            VmConfig {
+                trace_limit: cfg.max_insts,
+                ..cfg.clone()
+            },
+            plan.clone(),
+        );
+        traced.run(entry, args).unwrap();
+        let trace = traced.trace();
+        for k in 1..=cps.len() as u64 {
+            stopped_on.push(trace[(k * stride) as usize].mnemonic);
+        }
+    }
+    for op in ["call", "ret"] {
+        assert!(
+            stopped_on.contains(&op),
+            "no boundary on a {op}: {stopped_on:?}"
+        );
+    }
 }
